@@ -1,7 +1,7 @@
 //! Fixed-width table and CSV emitters.
 //!
-//! The `reproduce` binary prints one table per experiment; EXPERIMENTS.md is
-//! assembled from these tables. CSV output is provided for plotting.
+//! The `reproduce` binary prints one table per experiment through these
+//! emitters. CSV output is provided for plotting.
 //! [`round_budget_table`] renders the per-primitive round breakdown that
 //! [`Metrics`] meters (`pull_rounds` / `push_rounds` / `push_pull_rounds`);
 //! [`service_table`] renders the per-lane amortisation of a batched

@@ -1,4 +1,4 @@
-//! Reproduction harness: prints the experiment tables recorded in EXPERIMENTS.md.
+//! Reproduction harness: prints the tables of experiments E1–E10.
 //!
 //! ```text
 //! cargo run --release -p bench --bin reproduce -- all            # every experiment
@@ -70,6 +70,6 @@ fn print_usage() {
     println!(
         "usage: reproduce [--quick] [--seed N] <experiment...|all>\n\
          experiments: {ALL_EXPERIMENTS:?}\n\
-         See DESIGN.md section 3 for what each experiment validates."
+         Each driver in crates/bench/src/experiments.rs names the paper result it validates."
     );
 }

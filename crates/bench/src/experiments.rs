@@ -1,4 +1,5 @@
-//! Experiment drivers E1–E10 (see DESIGN.md §3 and EXPERIMENTS.md).
+//! Experiment drivers E1–E10. Each driver's doc names the paper result it
+//! checks; `docs/paper-map.md` maps those results to the code.
 
 use analysis::{run_trials, RankOracle, Summary, Table, TrialSpec, Workload};
 use baselines::{
@@ -15,7 +16,7 @@ use quantile_gossip::{
 pub enum Scale {
     /// Small sizes and few trials — used by CI-style runs and the benches.
     Quick,
-    /// The sizes recorded in EXPERIMENTS.md.
+    /// The full experiment sizes.
     Full,
 }
 

@@ -1,10 +1,10 @@
 //! # bench
 //!
 //! The reproduction harness: shared experiment drivers used both by the
-//! `reproduce` binary (which prints the tables recorded in EXPERIMENTS.md) and
-//! by the Criterion benches (which measure wall-clock simulation cost).
+//! `reproduce` binary (which prints the experiment tables) and by the
+//! Criterion benches (which measure wall-clock simulation cost).
 //!
-//! Every experiment Eⁿ in DESIGN.md has a driver function here returning an
+//! Every experiment E1–E10 has a driver function here returning an
 //! [`analysis::Table`]; the binary only handles argument parsing and printing.
 
 #![forbid(unsafe_code)]

@@ -1,8 +1,9 @@
 //! Round, message and failure accounting.
 //!
 //! Every algorithm in the reproduction is measured through the same
-//! [`Metrics`] struct, so round counts reported in EXPERIMENTS.md are directly
-//! comparable across the paper's algorithms and the baselines.
+//! [`Metrics`] struct, so the round counts in the experiment tables and the
+//! `BENCH_*.json` reports are directly comparable across the paper's
+//! algorithms and the baselines.
 
 /// What kind of communication a round performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

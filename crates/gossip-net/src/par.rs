@@ -103,34 +103,8 @@ where
     // Direct single-buffer dispatch: every engine round runs through here,
     // so it does not detour through `for_chunks2` with a unit companion (the
     // companion's chunk table and closure indirection are pure overhead on
-    // the hot path).
-    let n = data.len();
-    if n == 0 {
-        return identity;
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return reduce(identity, map(0, data));
-    }
-    let chunk = n.div_ceil(threads);
-    // Hand each chunk to its task through a once-takeable cell, and collect
-    // each task's accumulator in its own slot — O(threads) bookkeeping, the
-    // only per-map allocation.
-    let chunks: Vec<Mutex<Option<&mut [T]>>> = data
-        .chunks_mut(chunk)
-        .map(|c| Mutex::new(Some(c)))
-        .collect();
-    let slots: Vec<Mutex<Option<A>>> = (0..chunks.len()).map(|_| Mutex::new(None)).collect();
-    pool.run(chunks.len(), &|i| {
-        let c = take(&chunks[i]).expect("pool ran a chunk task twice");
-        *slots[i].lock().expect("slot mutex poisoned") = Some(map(i * chunk, c));
-    });
-    let mut acc = identity;
-    for slot in slots {
-        let a = take_inner(slot).expect("pool skipped a chunk task");
-        acc = reduce(acc, a);
-    }
-    acc
+    // the hot path). Rows of width 1 are exactly the elements.
+    for_rows(pool, data, 1, threads, identity, map, reduce)
 }
 
 /// Like [`for_chunks`], but over two equal-length buffers split at the same
@@ -393,6 +367,58 @@ where
     acc
 }
 
+/// Like [`for_chunks`], but over a buffer of *rows* of `width` elements,
+/// split at row boundaries so every row lands whole in one closure
+/// invocation ([`for_chunks`] is the `width == 1` case). `map` receives the chunk's starting *row* index and the
+/// row-aligned sub-slice; row `start + j` is `chunk[j * width .. (j + 1) *
+/// width]`. Chunk boundaries depend only on the row count and `threads`.
+///
+/// # Panics
+///
+/// Panics if `width` is zero or `data` is not whole rows.
+pub fn for_rows<T, A, F, R>(
+    pool: &WorkerPool,
+    data: &mut [T],
+    width: usize,
+    threads: usize,
+    identity: A,
+    map: F,
+    reduce: R,
+) -> A
+where
+    T: Send,
+    A: Send,
+    F: Fn(usize, &mut [T]) -> A + Sync,
+    R: Fn(A, A) -> A,
+{
+    assert!(width > 0, "for_rows requires a positive row width");
+    let n = data.len() / width;
+    assert_eq!(data.len(), n * width, "for_rows: data is not whole rows");
+    if n == 0 {
+        return identity;
+    }
+    let threads = threads.clamp(1, n);
+    if threads == 1 {
+        return reduce(identity, map(0, data));
+    }
+    let chunk = n.div_ceil(threads);
+    let chunks: Vec<Mutex<Option<&mut [T]>>> = data
+        .chunks_mut(chunk * width)
+        .map(|c| Mutex::new(Some(c)))
+        .collect();
+    let slots: Vec<Mutex<Option<A>>> = (0..chunks.len()).map(|_| Mutex::new(None)).collect();
+    pool.run(chunks.len(), &|i| {
+        let c = take(&chunks[i]).expect("pool ran a chunk task twice");
+        *slots[i].lock().expect("slot mutex poisoned") = Some(map(i * chunk, c));
+    });
+    let mut acc = identity;
+    for slot in slots {
+        let a = take_inner(slot).expect("pool skipped a chunk task");
+        acc = reduce(acc, a);
+    }
+    acc
+}
+
 /// Like [`for_sparse2`], but over two buffers of rows (`wa` and `wb` elements
 /// per row), carved at the same **row** boundaries: each task gets mutable
 /// access to exactly the rows its indices fall in, in both buffers.
@@ -469,51 +495,6 @@ where
     let mut acc = identity;
     for slot in slots {
         let a = take_inner(slot).expect("pool skipped a sparse task");
-        acc = reduce(acc, a);
-    }
-    acc
-}
-
-/// Folds `map` over `threads` contiguous sub-ranges of `0..n` in chunk order,
-/// without handing out any mutable data.
-///
-/// This is the read-only sibling of [`for_chunks`] for passes that *scan*
-/// shared state and produce a result per range — e.g. the service's replay
-/// frontier scan, which reads the dirty map and the recorded sources and
-/// returns the candidate ids per range. Because ranges ascend and the fold is
-/// in chunk order, concatenating per-range outputs yields the same sequence
-/// as a single `map(0..n)` — independent of `threads` and of the pool.
-pub fn fold_ranges<A, F, R>(
-    pool: &WorkerPool,
-    n: usize,
-    threads: usize,
-    identity: A,
-    map: F,
-    reduce: R,
-) -> A
-where
-    A: Send,
-    F: Fn(std::ops::Range<usize>) -> A + Sync,
-    R: Fn(A, A) -> A,
-{
-    if n == 0 {
-        return identity;
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return reduce(identity, map(0..n));
-    }
-    let chunk = n.div_ceil(threads);
-    let tasks = n.div_ceil(chunk);
-    let slots: Vec<Mutex<Option<A>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-    pool.run(tasks, &|i| {
-        let start = i * chunk;
-        let end = (start + chunk).min(n);
-        *slots[i].lock().expect("slot mutex poisoned") = Some(map(start..end));
-    });
-    let mut acc = identity;
-    for slot in slots {
-        let a = take_inner(slot).expect("pool skipped a range task");
         acc = reduce(acc, a);
     }
     acc
@@ -745,6 +726,34 @@ mod tests {
     }
 
     #[test]
+    fn for_rows_keeps_every_row_whole() {
+        let pool = WorkerPool::new(4);
+        let (n, w) = (23usize, 5usize);
+        for threads in [1, 2, 3, 8, 64] {
+            let mut a: Vec<usize> = vec![0; n * w];
+            let rows = for_rows(
+                &pool,
+                &mut a,
+                w,
+                threads,
+                0usize,
+                |start, chunk| {
+                    assert_eq!(chunk.len() % w, 0);
+                    for (j, row) in chunk.chunks_exact_mut(w).enumerate() {
+                        for (l, x) in row.iter_mut().enumerate() {
+                            *x = (start + j) * w + l;
+                        }
+                    }
+                    chunk.len() / w
+                },
+                |x, y| x + y,
+            );
+            assert_eq!(rows, n);
+            assert_eq!(a, (0..n * w).collect::<Vec<usize>>());
+        }
+    }
+
+    #[test]
     fn for_sparse_rows2_touches_exactly_the_listed_rows() {
         let pool = WorkerPool::new(4);
         let (n, wa, wb) = (50usize, 3usize, 2usize);
@@ -797,28 +806,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fold_ranges_covers_exactly_once_in_order() {
-        let pool = WorkerPool::new(4);
-        for threads in [1, 2, 3, 8, 64] {
-            let ids = fold_ranges(
-                &pool,
-                97,
-                threads,
-                Vec::new(),
-                |range| range.collect::<Vec<usize>>(),
-                |mut a, b| {
-                    a.extend(b);
-                    a
-                },
-            );
-            assert_eq!(ids, (0..97).collect::<Vec<usize>>(), "at {threads} threads");
-        }
-        // Empty domain returns the identity untouched.
-        let acc = fold_ranges(&pool, 0, 4, 7u32, |_| unreachable!(), |a, _b| a);
-        assert_eq!(acc, 7);
     }
 
     #[test]

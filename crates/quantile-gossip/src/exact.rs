@@ -25,7 +25,7 @@
 //! values remain — yields the ε-approximation of Theorem 1.2 for arbitrarily
 //! small ε.
 //!
-//! ## Scale substitution (documented in DESIGN.md)
+//! ## Scale substitution
 //!
 //! The paper sizes the duplication target as `n^{0.99}/2` valued nodes and the
 //! per-iteration approximation parameter as `ε = n^{-0.05}/2`; both choices

@@ -72,6 +72,7 @@ pub mod schedule;
 pub mod service;
 pub mod three_tournament;
 pub mod two_tournament;
+mod vote;
 
 pub use approx::{
     approximate_quantile, tournament_min_epsilon, tournament_quantile, ApproxConfig, ApproxOutcome,

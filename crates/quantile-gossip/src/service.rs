@@ -36,12 +36,25 @@
 //! touching per round only the nodes whose own state or realised source is
 //! dirty and pruning nodes whose recomputed state matches the cache. The
 //! epoch reports the cached logical round and traffic cost (the network
-//! cost of the trajectory is unchanged — only the service-side wall-clock
-//! shrinks with the dirty closure). When the dirty fraction exceeds
-//! [`ServiceConfig::dirty_threshold`] the service recomputes from scratch
-//! instead, refreshing the cache. Either way the answers equal a
+//! cost of the trajectory is unchanged). Its wall-clock follows the dirty
+//! closure, which is wide: at n = 50k, q = 64, 1 % dirty holders leave
+//! 62–69 % of lane components dirty and re-derive every node's vote, so
+//! such an epoch costs the replay plus a full vote. When the dirty fraction
+//! exceeds [`ServiceConfig::dirty_threshold`] the service recomputes from
+//! scratch instead, refreshing the cache. Either way the answers equal a
 //! from-scratch [`recompute_full`] (`tests/service.rs` pins exact
 //! equality).
+//!
+//! **The vote.** Every lane ends with the `K`-sample vote of Algorithm 2,
+//! line 8, derived after Phase II from the recorded trajectory. It runs
+//! node-major: lanes are grouped by vote window (`3·t2`), every lane of a
+//! node shares each vote round's realised source, so a node gathers one
+//! contiguous snapshot row per delivered round and group, and the
+//! branch-free compare-exchange network of the crate's vote kernel (shared
+//! with the solo [`crate::three_tournament::run`]) selects each lane's
+//! `sorted[c / 2]` row-wise across the lanes. The incremental patch runs the
+//! same kernel on the nodes whose own row or some vote-source row holds a
+//! dirty lane.
 //!
 //! [`recompute_full`]: QuantileService::recompute_full
 
@@ -49,11 +62,13 @@ use crate::approx::MAX_TOURNAMENT_EPSILON;
 use crate::schedule::{ShrinkSide, ThreeTournamentSchedule, TwoTournamentSchedule};
 use crate::three_tournament::{median3, FinalVote};
 use crate::two_tournament::extremum;
+use crate::vote::VoteKernel;
 use baselines::CompactorSketch;
 use gossip_net::{
     par, ActiveSet, Engine, EngineConfig, GossipError, LaneMatrix, MessageSize, Metrics, NodeRng,
     NodeValue, Result, SeedSequence, WorkerPool,
 };
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -138,7 +153,11 @@ pub struct EpochTimings {
     /// Seconds recording the replay cache (state snapshots and realised
     /// sources).
     pub record_secs: f64,
-    /// Seconds deriving or patching the per-lane vote outputs.
+    /// Seconds deriving (full epochs) or patching (incremental epochs) the
+    /// vote outputs: per node, one gathered snapshot row per delivered vote
+    /// round and vote window, reduced lane-wise by the branch-free median
+    /// network; the patch first tests each node's own and vote-source rows
+    /// for a dirty lane and re-derives only the touched nodes.
     pub vote_secs: f64,
     /// Seconds replaying the cached dataflow (incremental epochs only).
     pub replay_secs: f64,
@@ -190,6 +209,133 @@ impl LanePlan {
     }
     fn t2(&self) -> usize {
         self.schedule2.len()
+    }
+}
+
+/// The service's final vote (Algorithm 2, line 8) for every lane at once,
+/// node-major: lanes are grouped by vote window — lane `i` votes in Phase II
+/// rounds `3·t2ᵢ .. 3·t2ᵢ + K` — and all lanes of a node share each round's
+/// realised source, so a node's vote gathers one contiguous snapshot row per
+/// delivered round and group, then runs the branch-free [`VoteKernel`]
+/// lane-wise over the gathered rows.
+#[derive(Debug, Clone)]
+struct LaneVote {
+    kernel: VoteKernel,
+    /// Number of lanes, `q`.
+    lanes: usize,
+    groups: Vec<VoteGroup>,
+    /// Every Phase II round some group votes in.
+    rounds: Range<usize>,
+}
+
+/// The lanes sharing one vote window.
+#[derive(Debug, Clone)]
+struct VoteGroup {
+    /// First vote round, `3·t2`.
+    first: usize,
+    /// The group's lanes as maximal runs of adjacent lane indices — one run
+    /// covering every lane when all queries share `t2`.
+    runs: Vec<Range<usize>>,
+}
+
+impl LaneVote {
+    fn new(plans: &[LanePlan], k: usize) -> Self {
+        let mut t2s: Vec<usize> = plans.iter().map(LanePlan::t2).collect();
+        t2s.sort_unstable();
+        t2s.dedup();
+        let groups = t2s
+            .iter()
+            .map(|&t2| {
+                let mut runs: Vec<Range<usize>> = Vec::new();
+                for (i, _) in plans.iter().enumerate().filter(|(_, p)| p.t2() == t2) {
+                    match runs.last_mut() {
+                        Some(run) if run.end == i => run.end = i + 1,
+                        _ => runs.push(i..i + 1),
+                    }
+                }
+                VoteGroup {
+                    first: 3 * t2,
+                    runs,
+                }
+            })
+            .collect();
+        LaneVote {
+            kernel: VoteKernel::new(k),
+            lanes: plans.len(),
+            groups,
+            rounds: 3 * t2s[0]..3 * t2s[t2s.len() - 1] + k,
+        }
+    }
+
+    /// Writes every lane's vote output into `outputs` (`n × q`, node-major),
+    /// on every node — or, given `dirty_rows`, only on the nodes whose own
+    /// row or some vote-source row holds a dirty lane; every other node's
+    /// vote inputs are unchanged, so its cached output stands.
+    ///
+    /// `conv` is the converged Phase II state `snap2[t2max]`. Every vote
+    /// round of lane `i` lies at or after its convergence iteration `t2ᵢ`,
+    /// from which on the lane's component is frozen, so `conv` holds exactly
+    /// the lane values served in any of its vote rounds.
+    fn run<V: NodeValue>(
+        &self,
+        pool: &WorkerPool,
+        threads: usize,
+        conv: &[V],
+        sources2: &[u32],
+        outputs: &mut [V],
+        dirty_rows: Option<&[bool]>,
+    ) {
+        let (q, k) = (self.lanes, self.kernel.samples());
+        let n = outputs.len() / q;
+        par::for_rows(
+            pool,
+            outputs,
+            q,
+            threads,
+            (),
+            |start, chunk| {
+                let (mut rows, mut med) = (Vec::with_capacity(k * q), Vec::with_capacity(q));
+                for (v, out) in (start..).zip(chunk.chunks_exact_mut(q)) {
+                    let touched = dirty_rows.map_or(true, |dr| {
+                        dr[v]
+                            || self.rounds.clone().any(|rr| {
+                                let src = sources2[rr * n + v];
+                                src != u32::MAX && dr[src as usize]
+                            })
+                    });
+                    if !touched {
+                        continue;
+                    }
+                    // The fallback for an empty vote: the converged value.
+                    let own = &conv[v * q..][..q];
+                    for g in &self.groups {
+                        med.clear();
+                        for run in &g.runs {
+                            med.extend_from_slice(&own[run.clone()]);
+                        }
+                        rows.clear();
+                        let mut c = 0;
+                        for rr in g.first..g.first + k {
+                            let src = sources2[rr * n + v];
+                            if src != u32::MAX {
+                                let row = &conv[src as usize * q..][..q];
+                                for run in &g.runs {
+                                    rows.extend_from_slice(&row[run.clone()]);
+                                }
+                                c += 1;
+                            }
+                        }
+                        self.kernel.vote_into(&mut rows, c, &mut med);
+                        let mut at = 0;
+                        for run in &g.runs {
+                            out[run.clone()].copy_from_slice(&med[at..at + run.len()]);
+                            at += run.len();
+                        }
+                    }
+                }
+            },
+            |(), ()| (),
+        );
     }
 }
 
@@ -289,6 +435,15 @@ struct EpochScratch<V> {
     coins: Vec<f64>,
     /// Reusable δ-cut participant set.
     active: ActiveSet,
+    /// Incremental replay: whether each node's row holds a dirty lane
+    /// component (`n`; always the row-wise "any" of `comp_dirty`).
+    dirty_map: Vec<bool>,
+    /// Incremental replay: whether each lane component is dirty (`n × q`).
+    comp_dirty: Vec<bool>,
+    /// Incremental replay: the current iteration's frontier flags (`n`).
+    frontier: Vec<bool>,
+    /// Incremental replay: the current iteration's frontier ids.
+    cand: Vec<u32>,
     /// Whether a full epoch has already sized every buffer.
     warmed: bool,
 }
@@ -300,14 +455,19 @@ impl<V> Default for EpochScratch<V> {
             states: Vec::new(),
             coins: Vec::new(),
             active: ActiveSet::from_fn(0, |_| false),
+            dirty_map: Vec::new(),
+            comp_dirty: Vec::new(),
+            frontier: Vec::new(),
+            cand: Vec::new(),
             warmed: false,
         }
     }
 }
 
 impl<V: NodeValue> EpochScratch<V> {
-    /// Sizes every reusable buffer for an `n × q` epoch. Returns whether any
-    /// buffer had to grow — which must never happen once `warmed`.
+    /// Sizes every reusable buffer for an `n × q` epoch — the incremental
+    /// replay's too, since a full epoch always precedes it. Returns whether
+    /// any buffer had to grow — which must never happen once `warmed`.
     fn prepare(&mut self, n: usize, q: usize, fill: V) -> bool {
         let mut grew = false;
         if self.slots.len() != 3 || self.slots.iter().any(|m| m.n() != n || m.lanes() != q) {
@@ -326,6 +486,21 @@ impl<V: NodeValue> EpochScratch<V> {
         }
         if self.active.n() != n {
             self.active = ActiveSet::from_fn(n, |_| false);
+            grew = true;
+        }
+        for (buf, len) in [
+            (&mut self.dirty_map, n),
+            (&mut self.comp_dirty, n * q),
+            (&mut self.frontier, n),
+        ] {
+            if buf.len() != len {
+                buf.clear();
+                buf.resize(len, false);
+                grew = true;
+            }
+        }
+        if self.cand.capacity() < n {
+            self.cand.reserve_exact(n);
             grew = true;
         }
         grew
@@ -367,6 +542,7 @@ impl<V: NodeValue> EpochScratch<V> {
 pub struct QuantileService<V: NodeValue> {
     queries: Vec<QuantileQuery>,
     plans: Vec<LanePlan>,
+    vote: LaneVote,
     per_query: Vec<QueryCost>,
     config: ServiceConfig,
     engine_config: EngineConfig,
@@ -473,6 +649,7 @@ impl<V: NodeValue> QuantileService<V> {
         }
         Ok(QuantileService {
             queries: queries.to_vec(),
+            vote: LaneVote::new(&plans, config.final_vote.samples),
             plans,
             per_query,
             config,
@@ -910,18 +1087,15 @@ impl<V: NodeValue> QuantileService<V> {
             }
         }
 
-        // ---- Per-lane vote derivation ----------------------------------
+        // ---- Vote ------------------------------------------------------
         // Derived entirely from the recorded trajectory instead of
         // accumulated per vote round: lane `i`'s sample at vote round `rr`
-        // is the value its realised source served, and the states served
-        // during any Phase II round `rr` are exactly `snap2[min(rr/3,
-        // t2max)]` (collection precedes the window-end apply, and a lane's
-        // component freezes once it converges). The median of the gathered
-        // multiset via `select_nth_unstable` equals the full sort's
-        // `sorted[c / 2]` — the identical formula the incremental patch has
-        // always used, pinned by incremental ≡ full.
+        // is the value its realised source served. The states served during
+        // Phase II round `rr` are `snap2[min(rr/3, t2max)]` (collection
+        // precedes the window-end apply), and a lane votes only after its
+        // component has frozen, so its vote reads the converged
+        // `snap2[t2max]`.
         let t0 = Instant::now();
-        copy_into(&pool, threads, &mut traj.outputs, &states);
         {
             let Trajectory {
                 outputs,
@@ -929,38 +1103,12 @@ impl<V: NodeValue> QuantileService<V> {
                 sources2,
                 ..
             } = &mut traj;
-            let (snap2, sources2) = (&snap2[..], &sources2[..]);
-            par::for_chunks(
-                &pool,
-                &mut outputs[..],
-                threads,
-                (),
-                |start, chunk| {
-                    let mut buf: Vec<V> = Vec::with_capacity(k);
-                    let mut v = start / q;
-                    let mut i = start % q;
-                    for slot in chunk.iter_mut() {
-                        let first = 3 * plans[i].t2();
-                        buf.clear();
-                        for rr in first..first + k {
-                            let src = sources2[rr * n + v];
-                            if src != u32::MAX {
-                                buf.push(snap2[(rr / 3).min(t2max)][src as usize * q + i]);
-                            }
-                        }
-                        if !buf.is_empty() {
-                            let c = buf.len();
-                            *slot = *buf.select_nth_unstable(c / 2).1;
-                        } // an empty vote keeps the converged value
-                        i += 1;
-                        if i == q {
-                            i = 0;
-                            v += 1;
-                        }
-                    }
-                },
-                |(), ()| (),
-            );
+            if outputs.len() != n * q {
+                outputs.clear();
+                outputs.resize(n * q, fill);
+            }
+            self.vote
+                .run(&pool, threads, &snap2[t2max], sources2, outputs, None);
         }
         timings.vote_secs += t0.elapsed().as_secs_f64();
 
@@ -988,12 +1136,15 @@ impl<V: NodeValue> QuantileService<V> {
     /// contact graph recorded by the last full recompute: no engine rounds
     /// run at all. Each Phase I/II iteration touches only the nodes whose
     /// own state or realised pull source is dirty, recomputed states are
-    /// compared against the cache and pruned on equality, and the per-lane
-    /// vote outputs are patched for the nodes whose realised vote sources
-    /// carry a dirty component. All other nodes keep their cached
+    /// compared against the cache and pruned on equality, and the vote
+    /// outputs are re-derived for the nodes whose own row or realised vote
+    /// sources carry a dirty component. All other nodes keep their cached
     /// trajectory untouched. The reported rounds/metrics are the cached
     /// logical cost of the trajectory (the network would spend the same
     /// either way — only the service-side wall-clock shrinks).
+    ///
+    /// Steady-state incremental epochs reuse every replay buffer from
+    /// [`EpochScratch`]; a debug fingerprint asserts no buffer moved.
     ///
     /// Like [`recompute_full`](Self::recompute_full), the whole replay runs
     /// as one resident pool session: the per-round dirty frontier is carved
@@ -1013,7 +1164,7 @@ impl<V: NodeValue> QuantileService<V> {
             .cache
             .take()
             .expect("incremental replay needs a cached trajectory");
-        let (n, q, k) = (self.n, self.queries.len(), self.config.final_vote.samples);
+        let (n, q) = (self.n, self.queries.len());
         let (t1max, t2max) = (self.t1max(), self.t2max());
         let (seed1, seed2) = self.phase_seeds();
         let pool = Arc::clone(
@@ -1030,9 +1181,23 @@ impl<V: NodeValue> QuantileService<V> {
         let mut timings = EpochTimings::default();
         let t_replay = Instant::now();
 
+        // ---- Buffer preparation (the full epoch sized every buffer) -----
+        let mut scratch = std::mem::take(&mut self.scratch);
+        debug_assert!(scratch.warmed, "a full epoch precedes every replay");
+        #[cfg(debug_assertions)]
+        let before = replay_buffer_ptrs(&cache, &scratch);
+        let EpochScratch {
+            coins,
+            dirty_map,
+            comp_dirty,
+            frontier,
+            cand,
+            ..
+        } = &mut scratch;
+        dirty_map.fill(false);
+        comp_dirty.fill(false);
+
         // Seed the dirty set, pruning holders whose value bounced back.
-        let mut dirty_map = vec![false; n];
-        let mut comp_dirty = vec![false; n * q];
         let mut dirty_nodes = 0usize;
         for v in 0..n {
             if self.dirty[v] && self.inputs[v] != cache.snap1[0][v * q] {
@@ -1050,6 +1215,7 @@ impl<V: NodeValue> QuantileService<V> {
             // cached trajectory is already current.
             let (rounds, metrics) = (cache.rounds, cache.metrics);
             self.cache = Some(cache);
+            self.scratch = scratch;
             self.dirty.iter_mut().for_each(|d| *d = false);
             timings.replay_secs = t_replay.elapsed().as_secs_f64();
             return Ok(self.outcome_from_cache(
@@ -1063,11 +1229,6 @@ impl<V: NodeValue> QuantileService<V> {
             ));
         }
         let plans = &self.plans;
-        let coins = &mut self.scratch.coins;
-        if coins.len() != n {
-            coins.clear();
-            coins.resize(n, 0.0);
-        }
 
         // ---- Phase I replay --------------------------------------------
         for j in 0..t1max {
@@ -1079,52 +1240,28 @@ impl<V: NodeValue> QuantileService<V> {
             // or one of its realised pull sources this iteration is dirty.
             let sa_row = &cache.sources1[2 * j * n..(2 * j + 1) * n];
             let sb_row = &cache.sources1[(2 * j + 1) * n..(2 * j + 2) * n];
-            let dm = &dirty_map[..];
-            let cand: Vec<u32> = par::fold_ranges(
-                &pool,
-                n,
-                threads,
-                Vec::new(),
-                |range| {
-                    let mut hits = Vec::new();
-                    for v in range {
-                        if dm[v]
-                            || (sa_row[v] != u32::MAX && dm[sa_row[v] as usize])
-                            || (sb_row[v] != u32::MAX && dm[sb_row[v] as usize])
-                        {
-                            hits.push(v as u32);
-                        }
-                    }
-                    hits
-                },
-                |mut acc, mut part| {
-                    acc.append(&mut part);
-                    acc
-                },
-            );
+            mark_frontier(&pool, threads, dirty_map, &[sa_row, sb_row], frontier, cand);
             let (head, tail) = cache.snap1.split_at_mut(j + 1);
             let (snap, next) = (&head[j][..], &mut tail[0]);
             let cref = &coins[..];
             // The candidates are disjoint rows of both the next snapshot
             // and the component-dirty map, so the frontier recompute carves
             // them into per-thread chunks.
-            let still: Vec<u32> = par::for_sparse_rows2(
+            par::for_sparse_rows2(
                 &pool,
                 &mut next[..],
                 q,
                 &mut comp_dirty[..],
                 q,
-                &cand,
+                cand,
                 threads,
-                Vec::new(),
+                (),
                 |ids, base, sub_next, sub_cd| {
-                    let mut still = Vec::new();
                     for &vu in ids {
                         let v = vu as usize;
                         let rel = (v - base) * q;
                         let sa = (sa_row[v] != u32::MAX).then(|| sa_row[v] as usize * q);
                         let sb = (sb_row[v] != u32::MAX).then(|| sb_row[v] as usize * q);
-                        let mut any = false;
                         for (i, plan) in plans.iter().enumerate() {
                             let steps = &plan.schedule1.steps;
                             let cur = snap[v * q + i];
@@ -1141,31 +1278,14 @@ impl<V: NodeValue> QuantileService<V> {
                                     lane_step_two_delta(side, cref[v] < delta, s0, s1, cur)
                                 }
                             };
-                            let changed = new != sub_next[rel + i];
-                            sub_cd[rel + i] = changed;
-                            any = any || changed;
+                            sub_cd[rel + i] = new != sub_next[rel + i];
                             sub_next[rel + i] = new;
                         }
-                        if any {
-                            still.push(vu);
-                        }
                     }
-                    still
                 },
-                |mut acc, mut part| {
-                    acc.append(&mut part);
-                    acc
-                },
+                |(), ()| (),
             );
-            // Equivalent to the sequential per-candidate `dirty_map[v] =
-            // any`: nothing inside the iteration reads `dirty_map`, so the
-            // update can be deferred past the parallel pass.
-            for &vu in &cand {
-                dirty_map[vu as usize] = false;
-            }
-            for &vu in &still {
-                dirty_map[vu as usize] = true;
-            }
+            settle_dirty(&pool, threads, dirty_map, frontier, comp_dirty, q);
         }
         for (v, &dirty) in dirty_map.iter().enumerate() {
             if dirty {
@@ -1191,44 +1311,20 @@ impl<V: NodeValue> QuantileService<V> {
                 &cache.sources2[(3 * j + 1) * n..(3 * j + 2) * n],
                 &cache.sources2[(3 * j + 2) * n..(3 * j + 3) * n],
             ];
-            let dm = &dirty_map[..];
-            let cand: Vec<u32> = par::fold_ranges(
-                &pool,
-                n,
-                threads,
-                Vec::new(),
-                |range| {
-                    let mut hits = Vec::new();
-                    for v in range {
-                        if dm[v]
-                            || rows
-                                .iter()
-                                .any(|row| row[v] != u32::MAX && dm[row[v] as usize])
-                        {
-                            hits.push(v as u32);
-                        }
-                    }
-                    hits
-                },
-                |mut acc, mut part| {
-                    acc.append(&mut part);
-                    acc
-                },
-            );
+            mark_frontier(&pool, threads, dirty_map, &rows, frontier, cand);
             let (head, tail) = cache.snap2.split_at_mut(j + 1);
             let (snapj, next) = (&head[j][..], &mut tail[0]);
             let cref = &coins[..];
-            let still: Vec<u32> = par::for_sparse_rows2(
+            par::for_sparse_rows2(
                 &pool,
                 &mut next[..],
                 q,
                 &mut comp_dirty[..],
                 q,
-                &cand,
+                cand,
                 threads,
-                Vec::new(),
+                (),
                 |ids, base, sub_next, sub_cd| {
-                    let mut still = Vec::new();
                     for &vu in ids {
                         let v = vu as usize;
                         let rel = (v - base) * q;
@@ -1237,7 +1333,6 @@ impl<V: NodeValue> QuantileService<V> {
                             (src != u32::MAX).then(|| src as usize * q)
                         };
                         let (s0o, s1o, s2o) = (offset(0), offset(1), offset(2));
-                        let mut any = false;
                         for (i, plan) in plans.iter().enumerate() {
                             let t2 = plan.t2();
                             let cur = snapj[v * q + i];
@@ -1254,99 +1349,42 @@ impl<V: NodeValue> QuantileService<V> {
                                     lane_step_three(s0, s1, s2, cur)
                                 }
                             };
-                            let changed = new != sub_next[rel + i];
-                            sub_cd[rel + i] = changed;
-                            any = any || changed;
+                            sub_cd[rel + i] = new != sub_next[rel + i];
                             sub_next[rel + i] = new;
-                        }
-                        if any {
-                            still.push(vu);
-                        }
-                    }
-                    still
-                },
-                |mut acc, mut part| {
-                    acc.append(&mut part);
-                    acc
-                },
-            );
-            for &vu in &cand {
-                dirty_map[vu as usize] = false;
-            }
-            for &vu in &still {
-                dirty_map[vu as usize] = true;
-            }
-        }
-        timings.replay_secs = t_replay.elapsed().as_secs_f64();
-
-        // ---- Patch vote outputs for the affected nodes -----------------
-        // A lane's components freeze once it converges, so after the window
-        // loop `comp_dirty` is final for every lane: a node's vote output
-        // can change only if its own component or one of its realised vote
-        // sources carries a dirty component (the own-dirty test also covers
-        // the empty-vote fallback to the converged value). The patch runs
-        // element-parallel over the flat output vector — per `(v, i)` the
-        // hit test walks the node's `k` realised sources and, on a hit,
-        // regathers the vote multiset and takes its median value, identical
-        // to the full path's `sorted[c / 2]`.
-        let t0 = Instant::now();
-        {
-            let Trajectory {
-                outputs,
-                snap2,
-                sources2,
-                ..
-            } = &mut cache;
-            let (snap2, sources2) = (&snap2[..], &sources2[..]);
-            let cd = &comp_dirty[..];
-            par::for_chunks(
-                &pool,
-                &mut outputs[..],
-                threads,
-                (),
-                |start, chunk| {
-                    let mut buf: Vec<V> = Vec::with_capacity(k);
-                    let mut v = start / q;
-                    let mut i = start % q;
-                    for slot in chunk.iter_mut() {
-                        let first = 3 * plans[i].t2();
-                        let mut hit = cd[v * q + i];
-                        if !hit {
-                            for rr in first..first + k {
-                                let src = sources2[rr * n + v];
-                                if src != u32::MAX && cd[src as usize * q + i] {
-                                    hit = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if hit {
-                            buf.clear();
-                            for rr in first..first + k {
-                                let src = sources2[rr * n + v];
-                                if src != u32::MAX {
-                                    buf.push(snap2[(rr / 3).min(t2max)][src as usize * q + i]);
-                                }
-                            }
-                            *slot = if buf.is_empty() {
-                                snap2[t2max][v * q + i]
-                            } else {
-                                let c = buf.len();
-                                *buf.select_nth_unstable(c / 2).1
-                            };
-                        }
-                        i += 1;
-                        if i == q {
-                            i = 0;
-                            v += 1;
                         }
                     }
                 },
                 |(), ()| (),
             );
+            settle_dirty(&pool, threads, dirty_map, frontier, comp_dirty, q);
         }
+        timings.replay_secs = t_replay.elapsed().as_secs_f64();
+
+        // ---- Patch the vote outputs ------------------------------------
+        // A lane's components freeze once it converges, so after the window
+        // loop `comp_dirty`, and with it the row flags `dirty_map`, is final
+        // for every lane: a node's vote output can change only if its own
+        // row or one of its realised vote-source rows holds a dirty lane
+        // (the own-row test also covers the empty-vote fallback to the
+        // converged value). Those nodes re-run the full epoch's vote kernel.
+        let t0 = Instant::now();
+        self.vote.run(
+            &pool,
+            threads,
+            &cache.snap2[t2max],
+            &cache.sources2,
+            &mut cache.outputs,
+            Some(dirty_map),
+        );
         timings.vote_secs = t0.elapsed().as_secs_f64();
 
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            before,
+            replay_buffer_ptrs(&cache, &scratch),
+            "steady-state incremental epoch reallocated a round buffer"
+        );
+        self.scratch = scratch;
         let rounds = cache.rounds;
         let metrics = cache.metrics;
         self.cache = Some(cache);
@@ -1482,6 +1520,64 @@ fn participation_coins_into(
     );
 }
 
+/// Marks one replay iteration's frontier — every node whose own state or
+/// some realised source in `rows` is dirty — into `frontier`, and lists it
+/// in ascending order in `cand`.
+fn mark_frontier(
+    pool: &WorkerPool,
+    threads: usize,
+    dirty: &[bool],
+    rows: &[&[u32]],
+    frontier: &mut [bool],
+    cand: &mut Vec<u32>,
+) {
+    par::for_chunks(
+        pool,
+        frontier,
+        threads,
+        (),
+        |start, chunk| {
+            for (f, v) in chunk.iter_mut().zip(start..) {
+                *f = dirty[v]
+                    || rows
+                        .iter()
+                        .any(|row| row[v] != u32::MAX && dirty[row[v] as usize]);
+            }
+        },
+        |(), ()| (),
+    );
+    cand.clear();
+    cand.extend((0..frontier.len() as u32).filter(|&v| frontier[v as usize]));
+}
+
+/// After a replay iteration's recompute, a frontier node stays dirty iff one
+/// of its components changed; nodes off the frontier keep their flag (their
+/// components did not change either). The frontier recompute reads no dirty
+/// flag, so this update runs after it.
+fn settle_dirty(
+    pool: &WorkerPool,
+    threads: usize,
+    dirty: &mut [bool],
+    frontier: &[bool],
+    comp_dirty: &[bool],
+    q: usize,
+) {
+    par::for_chunks(
+        pool,
+        dirty,
+        threads,
+        (),
+        |start, chunk| {
+            for (d, v) in chunk.iter_mut().zip(start..) {
+                if frontier[v] {
+                    *d = comp_dirty[v * q..][..q].contains(&true);
+                }
+            }
+        },
+        |(), ()| (),
+    );
+}
+
 /// Pool-parallel `dst.copy_from_slice(src)`, (re)sizing `dst` only on a
 /// length mismatch — the snapshot-recording primitive of the full epoch
 /// (steady-state epochs always hit the matched-length path and stay
@@ -1521,6 +1617,20 @@ fn epoch_buffer_ptrs<V>(traj: &Trajectory<V>, states: &[V], coins: &[f64]) -> Ve
     ];
     ptrs.extend(traj.snap1.iter().map(|s| s.as_ptr() as usize));
     ptrs.extend(traj.snap2.iter().map(|s| s.as_ptr() as usize));
+    ptrs
+}
+
+/// [`epoch_buffer_ptrs`] plus the incremental replay's own buffers, for the
+/// same steady-state assertion in `incremental_epoch_body`.
+#[cfg(debug_assertions)]
+fn replay_buffer_ptrs<V>(traj: &Trajectory<V>, scratch: &EpochScratch<V>) -> Vec<usize> {
+    let mut ptrs = epoch_buffer_ptrs(traj, &scratch.states, &scratch.coins);
+    ptrs.extend([
+        scratch.dirty_map.as_ptr() as usize,
+        scratch.comp_dirty.as_ptr() as usize,
+        scratch.frontier.as_ptr() as usize,
+        scratch.cand.as_ptr() as usize,
+    ]);
     ptrs
 }
 

@@ -19,8 +19,9 @@
 //! [`NodeRng::STREAM_PARTICIPATION`].
 
 use crate::schedule::ThreeTournamentSchedule;
+use crate::vote::VoteKernel;
 use gossip_net::{
-    ActiveSet, Engine, EngineConfig, GossipError, Metrics, NodeRng, NodeValue, Result,
+    par, ActiveSet, Engine, EngineConfig, GossipError, Metrics, NodeRng, NodeValue, Result,
     RoundProgram, StepKind,
 };
 
@@ -159,24 +160,28 @@ pub fn run<V: NodeValue>(
     engine.run_program(&mut program);
     let converged_values = engine.states().to_vec();
 
-    // Line 8: sample K values and output their median. The flat matrix
-    // replaces n per-node vectors with one allocation; the vote reuses a
-    // single scratch buffer across nodes. Its K pull rounds fuse into one
-    // dispatch of their own.
+    // Line 8: sample K values and output their median. The K pull rounds
+    // fuse into one dispatch of their own; the median is the shared vote
+    // kernel on one-lane rows, mapped over the nodes on the engine's pool.
     let final_samples = engine.fused(|e| e.collect_samples_flat(vote.samples, |_, &v| v));
-    let mut scratch: Vec<V> = Vec::with_capacity(vote.samples);
-    let outputs: Vec<V> = (0..n)
-        .map(|v| {
-            scratch.clear();
-            scratch.extend(final_samples.row(v).copied());
-            if scratch.is_empty() {
-                converged_values[v]
-            } else {
-                scratch.sort_unstable();
-                scratch[scratch.len() / 2]
+    let kernel = VoteKernel::new(vote.samples);
+    let mut outputs = converged_values.clone();
+    par::for_chunks(
+        engine.pool(),
+        &mut outputs,
+        engine.threads(),
+        (),
+        |start, chunk| {
+            let mut rows: Vec<V> = Vec::with_capacity(vote.samples);
+            for (out, v) in chunk.iter_mut().zip(start..) {
+                rows.clear();
+                rows.extend(final_samples.row(v).copied());
+                let c = rows.len();
+                kernel.vote_into(&mut rows, c, std::slice::from_mut(out));
             }
-        })
-        .collect();
+        },
+        |(), ()| (),
+    );
 
     let metrics = engine.metrics();
     Ok(ThreeTournamentOutcome {

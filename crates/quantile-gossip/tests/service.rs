@@ -37,7 +37,17 @@ fn queries() -> Vec<QuantileQuery> {
     ]
 }
 
-/// Every topology from the pluggable-topology layer (PR 4).
+/// Two lanes share a vote window (`t2`) but are not adjacent: the vote
+/// gathers that group's lanes as two separate runs of each snapshot row.
+fn interleaved_queries() -> Vec<QuantileQuery> {
+    vec![
+        QuantileQuery::new(0.5, 0.05),
+        QuantileQuery::new(0.25, 0.08),
+        QuantileQuery::new(0.75, 0.05),
+    ]
+}
+
+/// Every topology from the pluggable-topology layer.
 fn topologies() -> Vec<(&'static str, Topology)> {
     vec![
         ("complete", Topology::Complete),
@@ -61,11 +71,14 @@ fn disruptive_plan() -> FaultPlan {
 /// Batched epoch vs `q` sequential solo runs on a paired seed: bit-identity
 /// per lane, and the per-query round accounting must match what the solo
 /// runs actually spent.
-fn assert_batched_matches_sequential(name: &str, engine_config: EngineConfig) {
+fn assert_batched_matches_sequential(
+    name: &str,
+    qs: &[QuantileQuery],
+    engine_config: EngineConfig,
+) {
     let vals = values(N);
-    let qs = queries();
     let mut svc =
-        QuantileService::new(&vals, &qs, ServiceConfig::default(), engine_config.clone()).unwrap();
+        QuantileService::new(&vals, qs, ServiceConfig::default(), engine_config.clone()).unwrap();
     let out = svc.epoch().unwrap();
     assert_eq!(out.mode, EpochMode::Full);
 
@@ -105,7 +118,7 @@ fn assert_batched_matches_sequential(name: &str, engine_config: EngineConfig) {
 fn batched_epoch_is_bit_identical_to_sequential_runs_on_every_topology() {
     for (name, topo) in topologies() {
         let ec = EngineConfig::with_seed(4242).topology(topo);
-        assert_batched_matches_sequential(name, ec);
+        assert_batched_matches_sequential(name, &queries(), ec);
     }
 }
 
@@ -115,52 +128,58 @@ fn batched_epoch_is_bit_identical_to_sequential_runs_under_faults() {
         let ec = EngineConfig::with_seed(97)
             .topology(topo)
             .fault(disruptive_plan());
-        assert_batched_matches_sequential(name, ec);
+        assert_batched_matches_sequential(name, &queries(), ec);
     }
 }
 
-/// Runs an epoch, mutates a few holders, and checks the incremental second
-/// epoch against a from-scratch service over the mutated inputs.
-fn assert_incremental_matches_full(name: &str, engine_config: EngineConfig) {
+/// Runs an epoch, then twice mutates a few holders and checks each
+/// incremental epoch against a from-scratch service over the mutated
+/// inputs. The second incremental epoch runs on warmed replay buffers, so
+/// debug builds also check that it reallocates none of them.
+fn assert_incremental_matches_full(name: &str, qs: &[QuantileQuery], engine_config: EngineConfig) {
     let mut vals = values(N);
-    let qs = queries();
     let cfg = ServiceConfig::default();
-    let mut svc = QuantileService::new(&vals, &qs, cfg, engine_config.clone()).unwrap();
+    let mut svc = QuantileService::new(&vals, qs, cfg, engine_config.clone()).unwrap();
     svc.epoch().unwrap();
 
-    let edits: [(usize, u64); 4] = [(3, 1), (77, 999_999), (110, 50_000), (143, 0)];
-    for (node, value) in edits {
-        svc.set_value(node, value).unwrap();
-        vals[node] = value;
-    }
-    assert!(
-        svc.dirty_fraction() <= cfg.dirty_threshold,
-        "test must take the incremental path"
-    );
-    let inc = svc.epoch().unwrap();
-    assert!(
-        matches!(inc.mode, EpochMode::Incremental { dirty_nodes, .. } if dirty_nodes <= edits.len()),
-        "expected an incremental epoch on {name}, got {:?}",
-        inc.mode
-    );
+    let batches: [[(usize, u64); 4]; 2] = [
+        [(3, 1), (77, 999_999), (110, 50_000), (143, 0)],
+        [(5, 123), (77, 2), (90, 88_888), (120, 4_000)],
+    ];
+    for edits in batches {
+        for (node, value) in edits {
+            svc.set_value(node, value).unwrap();
+            vals[node] = value;
+        }
+        assert!(
+            svc.dirty_fraction() <= cfg.dirty_threshold,
+            "test must take the incremental path"
+        );
+        let inc = svc.epoch().unwrap();
+        assert!(
+            matches!(inc.mode, EpochMode::Incremental { dirty_nodes, .. } if dirty_nodes <= edits.len()),
+            "expected an incremental epoch on {name}, got {:?}",
+            inc.mode
+        );
 
-    let mut fresh = QuantileService::new(&vals, &qs, cfg, engine_config).unwrap();
-    let full = fresh.epoch().unwrap();
-    assert_eq!(
-        inc.answers, full.answers,
-        "incremental replay diverged from the full recompute on {name}"
-    );
-    assert_eq!(
-        inc.rounds, full.rounds,
-        "round accounting diverged on {name}"
-    );
+        let mut fresh = QuantileService::new(&vals, qs, cfg, engine_config.clone()).unwrap();
+        let full = fresh.epoch().unwrap();
+        assert_eq!(
+            inc.answers, full.answers,
+            "incremental replay diverged from the full recompute on {name}"
+        );
+        assert_eq!(
+            inc.rounds, full.rounds,
+            "round accounting diverged on {name}"
+        );
+    }
 }
 
 #[test]
 fn incremental_recompute_equals_full_recompute_on_every_topology() {
     for (name, topo) in topologies() {
         let ec = EngineConfig::with_seed(271).topology(topo);
-        assert_incremental_matches_full(name, ec);
+        assert_incremental_matches_full(name, &queries(), ec);
     }
 }
 
@@ -170,7 +189,37 @@ fn incremental_recompute_equals_full_recompute_under_faults() {
         let ec = EngineConfig::with_seed(31)
             .topology(topo)
             .fault(disruptive_plan());
-        assert_incremental_matches_full(name, ec);
+        assert_incremental_matches_full(name, &queries(), ec);
+    }
+}
+
+/// Lanes with equal `t2` that are not adjacent share one vote window; with
+/// faults, partial deliveries leave some votes with fewer than `K` samples.
+/// Both the grouping and the partial votes must keep batched ≡ solo and
+/// incremental ≡ full.
+#[test]
+fn non_adjacent_vote_windows_match_solo_runs_and_full_recompute() {
+    let qs = interleaved_queries();
+    let probe = QuantileService::new(
+        &values(N),
+        &qs,
+        ServiceConfig::default(),
+        EngineConfig::with_seed(0),
+    )
+    .unwrap();
+    let t2: Vec<usize> = probe
+        .per_query()
+        .iter()
+        .map(|c| c.phase2_iterations)
+        .collect();
+    assert!(
+        t2[0] == t2[2] && t2[0] != t2[1],
+        "the queries must give two vote windows, lanes 0 and 2 sharing one: t2 = {t2:?}"
+    );
+    for (name, fault) in [("clean", FaultPlan::none()), ("faulty", disruptive_plan())] {
+        let ec = EngineConfig::with_seed(61).fault(fault);
+        assert_batched_matches_sequential(name, &qs, ec.clone());
+        assert_incremental_matches_full(name, &qs, ec);
     }
 }
 
