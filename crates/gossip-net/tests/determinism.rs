@@ -17,7 +17,9 @@ use gossip_net::{
 use rand::Rng;
 use std::sync::Arc;
 
-const THREAD_MATRIX: [usize; 3] = [1, 2, 8];
+/// Thread counts every invariance test replays. 3 splits the large networks
+/// below into uneven chunks, so the last owner range is shorter than the rest.
+const THREAD_MATRIX: [usize; 4] = [1, 2, 3, 8];
 
 /// A state whose update history is order-sensitive: a running hash of every
 /// message folded into it. Any change in delivery order or content changes
@@ -504,6 +506,51 @@ fn large_n_fault_injection_is_thread_count_invariant() {
 }
 
 #[test]
+fn ragged_owner_ranges_keep_push_delivery_order() {
+    // n = 2^14 + 7 splits into unequal chunks at 2, 3 and 8 threads, so the
+    // last receiver range is short and sender chunks straddle range
+    // boundaries unevenly. The fold is order-sensitive, so any receiver that
+    // saw its messages out of ascending sender order would change a state.
+    const N: usize = (1 << 14) + 7;
+    let run = |threads: usize, faulty: bool| {
+        let mut e = if faulty {
+            fault_engine(N, 83)
+        } else {
+            engine(N, 83, FailureModel::None)
+        };
+        e.set_threads(threads);
+        for _ in 0..3 {
+            e.push_round(
+                |v, &s| if v % 5 == 0 { None } else { Some(s) },
+                |_, st, msg| *st = fold_hash(*st, msg),
+                |_, st, delivered| {
+                    if !delivered {
+                        *st = st.wrapping_add(1);
+                    }
+                },
+            );
+            e.push_pull_round(|_, &s| s, |_, st, msg| *st = fold_hash(*st, msg));
+        }
+        let metrics = e.metrics();
+        let in_flight = e.delayed_in_flight();
+        (e.into_states(), metrics, in_flight)
+    };
+    for faulty in [false, true] {
+        let baseline = run(1, faulty);
+        if faulty {
+            assert!(baseline.1.messages_delayed > 0, "stragglers did not fire");
+        }
+        for threads in THREAD_MATRIX {
+            assert_eq!(
+                run(threads, faulty),
+                baseline,
+                "{threads} threads diverged at n = {N} (faulty: {faulty})"
+            );
+        }
+    }
+}
+
+#[test]
 fn sparse_rounds_with_fault_injection_are_thread_count_invariant() {
     // Active-set rounds under the full chaos plan: the sparse faulty passes
     // merge due straggler receivers into the copy-on-write written set; the
@@ -637,7 +684,12 @@ fn soa_backed_engine_is_identical_across_thread_counts_and_layout_knobs() {
     for (i, &threads) in THREAD_MATRIX.iter().enumerate() {
         // Vary every knob along the matrix, including the degenerate block
         // size and a disabled prefetcher.
-        let (block, dist, batch) = [(1, 0, false), (64, 8, true), (4096, 512, false)][i];
+        let (block, dist, batch) = [
+            (1, 0, false),
+            (64, 8, true),
+            (257, 3, true),
+            (4096, 512, false),
+        ][i];
         let (cols, metrics) = run(threads, block, dist, batch);
         assert_eq!(
             cols.value, baseline_cols.value,

@@ -28,7 +28,8 @@ mod support;
 use gossip_net::FailureModel;
 use support::{
     engine, fault_metrics_line, faulted_mixed, fingerprint, hash_local_steps, initial_states,
-    metrics_line, mixed_iteration, pinned, pull_rounds, push_pull_rounds, push_rounds, sample_fp,
+    large_faulted, metrics_line, mixed_iteration, pinned, pull_rounds, push_pull_rounds,
+    push_rounds, sample_fp,
 };
 
 #[test]
@@ -152,6 +153,17 @@ fn golden_large_n_with_failures() {
     assert_eq!(fingerprint(e.states()), pinned("large_failures.fp"));
 }
 
+#[test]
+fn golden_large_n_under_the_full_fault_plan() {
+    // The faulty push and push–pull bodies at a size where multi-thread runs
+    // take the parallel paths, with straggled pushes arriving late.
+    let e = large_faulted(20_000, 1010);
+    assert!(e.metrics().messages_delayed > 0);
+    assert_eq!(metrics_line(&e), pinned("large_faulted.metrics"));
+    assert_eq!(fault_metrics_line(&e), pinned("large_faulted.faults"));
+    assert_eq!(fingerprint(e.states()), pinned("large_faulted.fp"));
+}
+
 /// The constants the test suites read and the values `compute_all` (which the
 /// regen example writes) produce must agree key-for-key, so the file can
 /// never silently miss a scenario.
@@ -179,6 +191,7 @@ fn pin_file_covers_exactly_the_computed_keys() {
         "faulted_mixed",
         "large",
         "large_failures",
+        "large_faulted",
     ];
     let mut want: Vec<String> = Vec::new();
     for name in expected {
@@ -187,7 +200,7 @@ fn pin_file_covers_exactly_the_computed_keys() {
             "collect" | "collect_failures" => want.push(format!("{name}.sample_fp")),
             _ => want.push(format!("{name}.fp")),
         }
-        if name == "faulted_mixed" {
+        if name == "faulted_mixed" || name == "large_faulted" {
             want.insert(want.len() - 1, format!("{name}.faults"));
         }
     }

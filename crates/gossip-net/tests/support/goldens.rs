@@ -154,6 +154,18 @@ pub fn mixed_iteration(e: &mut Engine<u64>) {
     });
 }
 
+/// The push paths at a size where multi-thread runs take the parallel round
+/// bodies, under the full [`chaos_plan`]: two push rounds, then two push–pull
+/// rounds, so straggled pushes land as late arrivals in later rounds.
+pub fn large_faulted(n: usize, seed: u64) -> Engine<u64> {
+    let config = EngineConfig::with_seed(seed).fault(chaos_plan());
+    let mut e = Engine::from_states(initial_states(n), config);
+    e.set_threads(par::num_threads());
+    push_rounds(&mut e, 2);
+    push_pull_rounds(&mut e, 2);
+    e
+}
+
 pub fn faulted_mixed(n: usize, seed: u64) -> Engine<u64> {
     let config = EngineConfig::with_seed(seed).fault(chaos_plan());
     let mut e = Engine::from_states(initial_states(n), config);
@@ -304,6 +316,11 @@ pub fn compute_all() -> Vec<(&'static str, String)> {
     push_pull_rounds(&mut e, 2);
     pin("large_failures.metrics", metrics_line(&e));
     pin("large_failures.fp", fingerprint(e.states()));
+
+    let e = large_faulted(20_000, 1010);
+    pin("large_faulted.metrics", metrics_line(&e));
+    pin("large_faulted.faults", fault_metrics_line(&e));
+    pin("large_faulted.fp", fingerprint(e.states()));
 
     out
 }
