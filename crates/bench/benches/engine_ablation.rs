@@ -2,11 +2,11 @@
 //!
 //! 1. **Per-pass round costs** (`engine_rounds`): the steady-state cost of one
 //!    round of each primitive — pull (a single fused double-buffer dispatch),
-//!    push and push–pull (sender pass + CSR bucketing + fused delivery pass),
-//!    and `local_step` — with and without failure injection, so a change to
-//!    any pass (snapshot fusion, CSR parallelisation, RNG keying, failure
-//!    specialisation) is visible per primitive instead of only through whole
-//!    benchmarks.
+//!    push and push–pull (a draw pass that splits deliveries by owner range,
+//!    then a delivery pass per receiver range), and `local_step` — with and
+//!    without failure injection, so a change to any pass (snapshot fusion,
+//!    delivery order, RNG keying, failure specialisation) is visible per
+//!    primitive instead of only through whole benchmarks.
 //! 2. **Sparse vs dense rounds** (`active_set`): one pull round over the
 //!    whole network vs `pull_round_on` over active fractions
 //!    {100 %, 10 %, 1 %} at n ∈ {100k, 1M} — the copy-on-write/active-set

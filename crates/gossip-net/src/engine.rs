@@ -82,13 +82,23 @@
 //!   reading peers from the immutable `states`, and the engine swaps the two
 //!   vectors afterwards. (Earlier engines refreshed a separate snapshot in
 //!   its own dispatch first — a full extra `O(n)` pass per round.)
-//! * **push** — two dispatches around the CSR bucketing: one pass decides
-//!   every sender's outcome (silent / failed / target) into the target
-//!   scratch, the deliveries are counting-sorted receiver-major, and one
-//!   fused pass clones each receiver's state into `next`, folds its incoming
-//!   messages (ascending sender order) and runs `after`. Swap.
-//! * **push–pull** — the same two dispatches; the second pass merges the
-//!   pulled message first, then the pushed ones.
+//! * **push** — two dispatches. The draw pass runs over sender chunks: each
+//!   sender's outcome (silent / failed / target) goes into the target
+//!   scratch, and each chunk then splits its delivered senders by *owner
+//!   range* — the receiver chunk of the second pass that holds their target.
+//!   The delivery pass runs over those receiver ranges: each task clones its
+//!   range into `next`, walks the sub-lists addressed to it in sender-chunk
+//!   order, folding every message into its target slot, and finally runs
+//!   `after` over the range. Swap.
+//! * **push–pull** — the same two dispatches; each range merges its nodes'
+//!   pulled messages first, then the pushed ones.
+//!
+//! A receiver therefore sees its pushed messages in **ascending sender
+//! order** at any thread count: sender chunks ascend, and every sub-list
+//! ascends. Straggled arrivals that are due (fault plans only) land after the
+//! in-round messages, then `after` runs — the per-slot sequence is exactly
+//! "clone, folds in sender order, late arrivals, `after`". With one range
+//! there is nothing to split and the delivery pass walks the targets directly.
 //!
 //! Inside every pass the loop-invariant work is hoisted: the
 //! `(seed, round, stream)` RNG prefix is absorbed once per round
@@ -101,22 +111,14 @@
 //! sampler type, so the complete-graph loop carries no per-draw topology
 //! branch (see [`crate::topology`]).
 //!
-//! The CSR bucketing itself is sequential below [`Engine::PAR_MIN_NODES`] (two
-//! linear passes over `u32` buffers) and parallel above it: per-chunk
-//! histograms, an exclusive prefix scan over power-of-two receiver ranges,
-//! and chunk-major placement — which preserves the stable ascending-sender
-//! fold order bit for bit, because sender chunks are ascending and each chunk
-//! places its senders in ascending order within its reserved spans.
-//!
 //! ## Allocation discipline
 //!
-//! All `O(n)` scratch (contact targets, CSR delivery buckets, the `next`
+//! All `O(n)` scratch (contact targets, the split delivery list, the `next`
 //! state buffer) lives in buffers owned by the engine, sized once at
-//! construction (`next` on the first round; the parallel-CSR histogram, sized
-//! `chunks × n` with the chunk count capped at 8, on the first parallel push
-//! round) and reused forever after:
+//! construction (`next` on the first round) and reused forever after:
 //! steady-state rounds perform **no size-`n` allocations**. The only per-round
-//! heap traffic is `O(threads)` chunk/slot bookkeeping per dispatched map —
+//! heap traffic is `O(threads)` chunk/slot bookkeeping per dispatched map
+//! (for push rounds, also the `chunks × ranges` offset table of the split) —
 //! and whatever the caller's own state clones cost for non-`Copy` states.
 //!
 //! The per-slot `clone_from` into `next` is the price of running serve and
@@ -134,16 +136,18 @@
 //! whole state array several times), so the hot passes are structured around
 //! bytes moved, with [`crate::soa`] housing the shared machinery:
 //!
-//! * the back-buffer refresh is **cache-blocked**: instead of interleaving
-//!   one slot's clone with its serve/apply (two live streams competing for
-//!   the same lines), the chunk loop clones [`Engine::set_copy_block`] slots
-//!   in one [`crate::soa::clone_block`] burst — a straight `memcpy` for
-//!   `Copy` states — and then works through them while they are L2-warm;
+//! * the pull round's back-buffer refresh is **cache-blocked**: instead of
+//!   interleaving one slot's clone with its serve/apply (two live streams
+//!   competing for the same lines), the chunk loop clones
+//!   [`Engine::set_copy_block`] slots in one [`crate::soa::clone_block`]
+//!   burst — a straight `memcpy` for `Copy` states — and then works through
+//!   them while they are L2-warm (push rounds clone their whole range up
+//!   front, since their folds land anywhere in it);
 //! * pull targets are drawn into a small stack batch and the corresponding
 //!   sender states are **software-prefetched** [`Engine::set_prefetch_dist`]
 //!   iterations ahead of their random-gather read, hiding the DRAM latency
-//!   of the uniform contact pattern (the CSR delivery folds and the sparse
-//!   pair-list folds prefetch their sender gathers the same way);
+//!   of the uniform contact pattern (the sparse pair-list folds prefetch
+//!   their sender gathers the same way);
 //! * the sparse copy-on-write commit batches runs of consecutive written ids
 //!   into whole-slice swaps ([`crate::soa::swap_runs`]).
 //!
@@ -169,7 +173,6 @@ use crate::topology::{
     AdjacencyCache, CompleteSampler, CsrSampler, PeerSampler, Sampler, Topology,
 };
 use crate::NodeId;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Sentinel in the target scratch buffer: the node failed this round.
@@ -180,8 +183,154 @@ const TARGET_SILENT: u32 = u32::MAX - 1;
 /// did not land this round — dropped in flight by a fault-plan coin, sent to
 /// a crashed node, or buffered by the straggler model. Like the other
 /// sentinels it is `>= n` (engines reject `n > u32::MAX - 2`), so the
-/// bucketing passes skip it and `after` sees `delivered = false`.
+/// delivery pass skips it and `after` sees `delivered = false`.
 const TARGET_DROPPED: u32 = u32::MAX - 2;
+
+/// The receiver ranges of a dense push round: range `r` is the `r`-th chunk
+/// [`par::for_chunks`] cuts the back buffer into at the round's thread count.
+/// The draw pass cuts the senders at the same boundaries, so sender chunk `c`
+/// and range `c` cover the same nodes.
+///
+/// The draw pass tallies each chunk's deliveries per owner range as it draws
+/// them ([`OwnerRanges::tally`]) and then splits the chunk's delivered senders
+/// by range ([`OwnerRanges::split`]); the delivery pass hands range
+/// `r` the sub-lists `(0, r), (1, r), …` in that order
+/// ([`OwnerRanges::for_each_delivery`]). Chunks ascend and every sub-list
+/// ascends, so each receiver folds its messages in ascending sender order.
+/// With a single range there is nothing to split: the delivery pass walks the
+/// targets directly.
+#[derive(Debug, Clone, Copy)]
+struct OwnerRanges {
+    n: usize,
+    /// Nodes per range (only the last range may be shorter).
+    len: usize,
+    count: usize,
+    /// `⌈2^64 / len⌉`, the multiplier of [`OwnerRanges::owner`].
+    magic: u64,
+}
+
+impl OwnerRanges {
+    fn new(n: usize, threads: usize) -> Self {
+        let len = par::chunk_len(n, threads);
+        OwnerRanges {
+            n,
+            len,
+            count: n.div_ceil(len),
+            magic: (u64::MAX / len as u64).wrapping_add(1),
+        }
+    }
+
+    /// The range owning receiver `u`, i.e. `u / len` as one multiply-high:
+    /// for 32-bit operands and a divisor `d ≥ 2`, `⌈2^64 / d⌉` is an exact
+    /// magic number (Lemire, Kaser & Kurz, "Faster remainder by direct
+    /// computation", 2019).
+    #[inline]
+    fn owner(&self, u: u32) -> usize {
+        if self.len == 1 {
+            u as usize
+        } else {
+            ((u128::from(self.magic) * u128::from(u)) >> 64) as usize
+        }
+    }
+
+    /// A sender chunk's per-range delivery counts for [`OwnerRanges::tally`]
+    /// (entry `r + 1` counts range `r`); empty with a single range.
+    fn tally_row(&self) -> Vec<u32> {
+        if self.count == 1 {
+            Vec::new()
+        } else {
+            vec![0; self.count + 1]
+        }
+    }
+
+    /// Counts one delivery to receiver `t` into a [`OwnerRanges::tally_row`]
+    /// (a no-op on the empty row). The draw loops call this as they decide
+    /// each target, where the counter updates overlap the RNG work instead of
+    /// costing a pass of their own.
+    #[inline]
+    fn tally(&self, row: &mut [u32], t: u32) {
+        if let Some(c) = row.get_mut(self.owner(t) + 1) {
+            *c += 1;
+        }
+    }
+
+    /// Writes the delivered senders of the sender chunk starting at `start`
+    /// (push targets `targets`, per-range counts `row` from
+    /// [`OwnerRanges::tally`]) into `out`, the chunk's own slice of the
+    /// delivery buffer, grouped by owner range and ascending within each
+    /// group. Returns the chunk's `count + 1` group offsets into `out`; empty
+    /// with a single range.
+    fn split(
+        &self,
+        start: usize,
+        targets: impl Iterator<Item = u32>,
+        mut row: Vec<u32>,
+        out: &mut [u32],
+    ) -> Vec<u32> {
+        if row.is_empty() {
+            return row;
+        }
+        for r in 0..self.count {
+            row[r + 1] += row[r];
+        }
+        let mut cursor = row.clone();
+        for (j, t) in targets.enumerate() {
+            if (t as usize) < self.n {
+                let at = &mut cursor[self.owner(t)];
+                out[*at as usize] = (start + j) as u32;
+                *at += 1;
+            }
+        }
+        row
+    }
+
+    /// Calls `f(sender, receiver)` for every in-round delivery to the range
+    /// starting at node `start`, in ascending sender order. `delivered` and
+    /// `rows` are the draw pass's delivery buffer and its chunk-order
+    /// concatenation of [`OwnerRanges::split`] rows; `target(v)` is sender
+    /// `v`'s push target.
+    #[inline]
+    fn for_each_delivery(
+        &self,
+        start: usize,
+        delivered: &[u32],
+        rows: &[u32],
+        target: impl Fn(usize) -> u32,
+        mut f: impl FnMut(usize, usize),
+    ) {
+        if self.count == 1 {
+            for v in 0..self.n {
+                let t = target(v) as usize;
+                if t < self.n {
+                    f(v, t);
+                }
+            }
+            return;
+        }
+        let r = start / self.len;
+        for (c, row) in rows.chunks_exact(self.count + 1).enumerate() {
+            let base = c * self.len;
+            for &v in &delivered[base + row[r] as usize..base + row[r + 1] as usize] {
+                f(v as usize, target(v as usize) as usize);
+            }
+        }
+    }
+}
+
+/// Concatenates per-chunk results in chunk order (the fold of the push
+/// rounds' draw passes).
+fn concat<T>(mut a: Vec<T>, mut b: Vec<T>) -> Vec<T> {
+    a.append(&mut b);
+    a
+}
+
+/// The entries of the receiver-major `(receiver, sender)` list `due` that
+/// address the `len` receivers starting at `start`.
+fn due_in(due: &[(u32, u32)], start: usize, len: usize) -> &[(u32, u32)] {
+    let lo = due.partition_point(|&(r, _)| (r as usize) < start);
+    let hi = due.partition_point(|&(r, _)| (r as usize) < start + len);
+    &due[lo..hi]
+}
 
 /// A push contact buffered by the straggler model: it lands in the first
 /// push-capable round at or after round `due`, where the message is
@@ -446,24 +595,13 @@ pub struct Engine<S> {
     pool_base: PoolStats,
     round: u64,
     local_epochs: u64,
-    /// Per-sender contact target (push target in push–pull), or a sentinel.
+    /// Per-sender push target of push rounds, or a sentinel.
     scratch_targets: Vec<u32>,
-    /// Per-puller contact target in push–pull rounds.
-    scratch_pull: Vec<u32>,
-    /// CSR bucket offsets: deliveries for receiver `u` occupy
-    /// `scratch_senders[offsets[u]..offsets[u + 1]]`. Atomic because the
-    /// parallel bucketing passes write them from `pool.run` tasks (every slot
-    /// has exactly one writer per pass; all accesses are `Relaxed`, ordered
-    /// across passes by the pool's quiescence barrier).
-    scratch_offsets: Vec<AtomicU32>,
-    /// CSR placement cursors: `n` entries for the sequential counting sort,
-    /// grown to `chunks × n` (chunk-major) by the parallel bucketing.
-    scratch_cursors: Vec<AtomicU32>,
-    /// Sender ids, grouped by receiver, in ascending sender order.
-    scratch_senders: Vec<AtomicU32>,
-    /// Parallel-CSR per-chunk histograms (chunk-major, `chunks × n`); empty
-    /// until the first parallel push round.
-    scratch_hist: Vec<u32>,
+    /// Per-node `(push, pull)` targets of push–pull rounds, or sentinels.
+    scratch_push_pull: Vec<(u32, u32)>,
+    /// Delivered senders of each sender chunk, grouped by the owner range of
+    /// their receiver (see [`OwnerRanges`]); unused with a single range.
+    scratch_delivered: Vec<u32>,
     /// Compact per-active-sender contact targets of the sparse push paths
     /// (aligned with the round's `ActiveSet::indices`); grown to the largest
     /// active set seen.
@@ -471,8 +609,8 @@ pub struct Engine<S> {
     /// Compact per-active-node pull targets of sparse push–pull rounds.
     scratch_compact2: Vec<u32>,
     /// Sparse delivery list: `(receiver, sender)` pairs, sorted
-    /// receiver-major with ascending senders — the CSR of a sparse push,
-    /// sized by the number of messages instead of `n`.
+    /// receiver-major with ascending senders, sized by the number of
+    /// messages instead of `n`.
     scratch_pairs: Vec<(u32, u32)>,
     /// The written set of the current sparse round (active ∪ receivers),
     /// sorted — what the copy-on-write commit pass swaps into the front
@@ -487,19 +625,13 @@ pub struct Engine<S> {
     /// results, only cache behaviour.
     copy_block: usize,
     /// Lookahead of the software prefetches issued by the delivery gathers
-    /// (pull targets, CSR sender states, sparse pair lists); seeded from
+    /// (pull targets, sparse pair lists); seeded from
     /// `GOSSIP_PREFETCH_DIST`, `0` disables. Never affects results.
     prefetch_dist: usize,
     /// Whether the sparse copy-on-write commit batches contiguous id runs
     /// ([`crate::soa::swap_runs`]); the per-slot path is kept for the
     /// equivalence tests and A/B benches.
     batch_commit: bool,
-}
-
-/// A zeroed atomic scratch buffer (scratch holds no cross-round state, so
-/// clones start from zero).
-fn atomic_zeroed(len: usize) -> Vec<AtomicU32> {
-    (0..len).map(|_| AtomicU32::new(0)).collect()
 }
 
 impl<S: Clone> Clone for Engine<S> {
@@ -529,14 +661,11 @@ impl<S: Clone> Clone for Engine<S> {
             round: self.round,
             local_epochs: self.local_epochs,
             scratch_targets: self.scratch_targets.clone(),
-            scratch_pull: self.scratch_pull.clone(),
-            scratch_offsets: atomic_zeroed(self.scratch_offsets.len()),
-            scratch_cursors: atomic_zeroed(self.scratch_cursors.len()),
-            scratch_senders: atomic_zeroed(self.scratch_senders.len()),
-            scratch_hist: vec![0; self.scratch_hist.len()],
-            // Like the atomic scratches above: no cross-round state, so the
-            // clone starts empty instead of memcpying stale ids (the sparse
-            // paths resize/clear these before every use).
+            scratch_push_pull: self.scratch_push_pull.clone(),
+            scratch_delivered: self.scratch_delivered.clone(),
+            // No cross-round state, so the clone starts empty instead of
+            // memcpying stale ids (the sparse paths resize/clear these
+            // before every use).
             scratch_compact: Vec::new(),
             scratch_compact2: Vec::new(),
             scratch_pairs: Vec::new(),
@@ -622,11 +751,8 @@ impl<S> Engine<S> {
             round: 0,
             local_epochs: 0,
             scratch_targets: vec![0; n],
-            scratch_pull: vec![0; n],
-            scratch_offsets: atomic_zeroed(n + 1),
-            scratch_cursors: atomic_zeroed(n),
-            scratch_senders: atomic_zeroed(n),
-            scratch_hist: Vec::new(),
+            scratch_push_pull: vec![(0, 0); n],
+            scratch_delivered: vec![0; n],
             scratch_compact: Vec::new(),
             scratch_compact2: Vec::new(),
             scratch_pairs: Vec::new(),
@@ -1248,16 +1374,20 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let sampler = &sampler;
         let reliable = failure.is_reliable();
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
+        let owners = OwnerRanges::new(n, threads);
 
         // Pass 1: every sender decides its outcome (silent / failed / target),
-        // reading its own pre-round state from the front buffer.
-        let delta = par::for_chunks(
+        // reading its own pre-round state from the front buffer; then the
+        // chunk splits its delivered senders by owner range.
+        let (delta, rows) = par::for_chunks2(
             &self.pool,
             &mut self.scratch_targets,
+            &mut self.scratch_delivered,
             threads,
-            Metrics::default(),
-            |start, chunk| {
+            (Metrics::default(), Vec::new()),
+            |start, chunk, out| {
                 let mut local = Metrics::default();
+                let mut row = owners.tally_row();
                 for (j, slot) in chunk.iter_mut().enumerate() {
                     let v = start + j;
                     let msg = match make(v, &states[v]) {
@@ -1273,58 +1403,44 @@ impl<S: Clone + Send + Sync> Engine<S> {
                         local.record_failure();
                         *slot = TARGET_FAILED;
                     } else {
-                        let t = sampler.sample(&mut rng, v);
+                        let t = sampler.sample(&mut rng, v) as u32;
                         local.record_delivery(msg.message_bits());
-                        *slot = t as u32;
+                        owners.tally(&mut row, t);
+                        *slot = t;
                     }
                 }
-                local
+                (local, owners.split(start, chunk.iter().copied(), row, out))
             },
-            |a, b| a + b,
+            |(ma, ra), (mb, rb)| (ma + mb, concat(ra, rb)),
         );
         self.metrics = self.metrics + delta;
 
-        // Bucket deliveries by receiver (CSR), then clone + fold + after per
-        // receiver in one fused pass over the back buffer — block-refreshed,
-        // with the sender-state gather prefetched ahead (the senders of a
-        // chunk's receivers occupy one contiguous CSR span, so the lookahead
-        // is a cheap sequential read of the sender ids).
-        self.bucket_deliveries(n);
+        // Pass 2, per receiver range: refresh the range in the back buffer,
+        // fold the messages addressed to it in ascending sender order, then
+        // run `after` for every node of the range.
         let states = &self.states;
-        let (block, dist) = (self.copy_block, self.prefetch_dist);
-        let (targets, offsets, senders) = (
-            &self.scratch_targets,
-            &self.scratch_offsets,
-            &self.scratch_senders,
-        );
+        let (targets, delivered) = (&self.scratch_targets, &self.scratch_delivered);
         par::for_chunks(
             &self.pool,
             &mut self.next,
             threads,
             (),
             |start, chunk| {
-                let chunk_hi = offsets[start + chunk.len()].load(Ordering::Relaxed) as usize;
-                let mut bs = 0;
-                while bs < chunk.len() {
-                    let be = (bs + block).min(chunk.len());
-                    crate::soa::clone_block(&mut chunk[bs..be], &states[start + bs..start + be]);
-                    for (j, slot) in chunk[bs..be].iter_mut().enumerate() {
-                        let u = start + bs + j;
-                        let lo = offsets[u].load(Ordering::Relaxed) as usize;
-                        let hi = offsets[u + 1].load(Ordering::Relaxed) as usize;
-                        for i in lo..hi {
-                            if dist > 0 && i + dist < chunk_hi {
-                                let ahead = senders[i + dist].load(Ordering::Relaxed) as usize;
-                                crate::soa::prefetch_read(&states[ahead]);
-                            }
-                            let v = senders[i].load(Ordering::Relaxed) as usize;
-                            if let Some(msg) = make(v, &states[v]) {
-                                fold(u, slot, msg);
-                            }
+                crate::soa::clone_block(chunk, &states[start..start + chunk.len()]);
+                owners.for_each_delivery(
+                    start,
+                    delivered,
+                    &rows,
+                    |v| targets[v],
+                    |v, u| {
+                        if let Some(msg) = make(v, &states[v]) {
+                            fold(u, &mut chunk[u - start], msg);
                         }
-                        after(u, slot, (targets[u] as usize) < n);
-                    }
-                    bs = be;
+                    },
+                );
+                for (j, slot) in chunk.iter_mut().enumerate() {
+                    let u = start + j;
+                    after(u, slot, (targets[u] as usize) < n);
                 }
             },
             |(), ()| (),
@@ -1373,56 +1489,58 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let sampler = &sampler;
         let reliable = failure.is_reliable();
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
+        let owners = OwnerRanges::new(n, threads);
 
-        // Pass 1: every node draws its failure coin, pull target, push target.
-        // Delivery metrics are recorded in pass 2, where the messages are
-        // constructed anyway.
-        let delta = par::for_chunks2(
+        // Pass 1: every node draws its failure coin, pull target, push target,
+        // then the chunk splits its pushes by owner range. Delivery metrics
+        // are recorded in pass 2, where the messages are constructed anyway.
+        let (delta, rows) = par::for_chunks2(
             &self.pool,
-            &mut self.scratch_targets,
-            &mut self.scratch_pull,
+            &mut self.scratch_push_pull,
+            &mut self.scratch_delivered,
             threads,
-            Metrics::default(),
-            |start, push_chunk, pull_chunk| {
+            (Metrics::default(), Vec::new()),
+            |start, chunk, out| {
                 let mut local = Metrics::default();
+                let mut row = owners.tally_row();
                 if reliable {
                     // Dedicated no-failure loop: no coin, no model match.
-                    for j in 0..push_chunk.len() {
+                    for (j, slot) in chunk.iter_mut().enumerate() {
                         let v = start + j;
                         local.record_attempt(RoundKind::PushPull);
                         let mut rng = prefix.node(v as u64);
-                        pull_chunk[j] = sampler.sample(&mut rng, v) as u32;
-                        push_chunk[j] = sampler.sample(&mut rng, v) as u32;
+                        let pull = sampler.sample(&mut rng, v) as u32;
+                        let push = sampler.sample(&mut rng, v) as u32;
+                        owners.tally(&mut row, push);
+                        *slot = (push, pull);
                     }
                 } else {
-                    for j in 0..push_chunk.len() {
+                    for (j, slot) in chunk.iter_mut().enumerate() {
                         let v = start + j;
                         local.record_attempt(RoundKind::PushPull);
                         let mut rng = prefix.node(v as u64);
                         if failure.fails(v, round, &mut rng) {
                             local.record_failure();
-                            push_chunk[j] = TARGET_FAILED;
-                            pull_chunk[j] = TARGET_FAILED;
+                            *slot = (TARGET_FAILED, TARGET_FAILED);
                         } else {
-                            pull_chunk[j] = sampler.sample(&mut rng, v) as u32;
-                            push_chunk[j] = sampler.sample(&mut rng, v) as u32;
+                            let pull = sampler.sample(&mut rng, v) as u32;
+                            let push = sampler.sample(&mut rng, v) as u32;
+                            owners.tally(&mut row, push);
+                            *slot = (push, pull);
                         }
                     }
                 }
-                local
+                let pushes = chunk.iter().map(|&(push, _)| push);
+                (local, owners.split(start, pushes, row, out))
             },
-            |a, b| a + b,
+            |(ma, ra), (mb, rb)| (ma + mb, concat(ra, rb)),
         );
         self.metrics = self.metrics + delta;
 
-        self.bucket_deliveries(n);
+        // Pass 2, per receiver range: refresh, merge every node's pulled
+        // message, then the pushed ones in ascending sender order.
         let states = &self.states;
-        let (block, dist) = (self.copy_block, self.prefetch_dist);
-        let (pulls, offsets, senders) = (
-            &self.scratch_pull,
-            &self.scratch_offsets,
-            &self.scratch_senders,
-        );
+        let (targets, delivered) = (&self.scratch_push_pull, &self.scratch_delivered);
         let deliveries = par::for_chunks(
             &self.pool,
             &mut self.next,
@@ -1430,44 +1548,26 @@ impl<S: Clone + Send + Sync> Engine<S> {
             Metrics::default(),
             |start, chunk| {
                 let mut local = Metrics::default();
-                let chunk_end = start + chunk.len();
-                let chunk_hi = offsets[chunk_end].load(Ordering::Relaxed) as usize;
-                let mut bs = 0;
-                while bs < chunk.len() {
-                    let be = (bs + block).min(chunk.len());
-                    crate::soa::clone_block(&mut chunk[bs..be], &states[start + bs..start + be]);
-                    for (j, slot) in chunk[bs..be].iter_mut().enumerate() {
-                        let u = start + bs + j;
-                        // Prefetch the pull gather a few receivers ahead;
-                        // the push gather is prefetched along the CSR span.
-                        if dist > 0 && u + dist < chunk_end {
-                            let ahead = pulls[u + dist];
-                            if ahead != TARGET_FAILED {
-                                crate::soa::prefetch_read(&states[ahead as usize]);
-                            }
-                        }
-                        let t_pull = pulls[u];
-                        if t_pull != TARGET_FAILED {
-                            let t = t_pull as usize;
-                            let msg = serve(t, &states[t]);
-                            local.record_delivery(msg.message_bits());
-                            merge(u, slot, msg);
-                        }
-                        let lo = offsets[u].load(Ordering::Relaxed) as usize;
-                        let hi = offsets[u + 1].load(Ordering::Relaxed) as usize;
-                        for i in lo..hi {
-                            if dist > 0 && i + dist < chunk_hi {
-                                let ahead = senders[i + dist].load(Ordering::Relaxed) as usize;
-                                crate::soa::prefetch_read(&states[ahead]);
-                            }
-                            let v = senders[i].load(Ordering::Relaxed) as usize;
-                            let msg = serve(v, &states[v]);
-                            local.record_delivery(msg.message_bits());
-                            merge(u, slot, msg);
-                        }
+                crate::soa::clone_block(chunk, &states[start..start + chunk.len()]);
+                for (j, slot) in chunk.iter_mut().enumerate() {
+                    let t = targets[start + j].1 as usize;
+                    if t < n {
+                        let msg = serve(t, &states[t]);
+                        local.record_delivery(msg.message_bits());
+                        merge(start + j, slot, msg);
                     }
-                    bs = be;
                 }
+                owners.for_each_delivery(
+                    start,
+                    delivered,
+                    &rows,
+                    |v| targets[v].0,
+                    |v, u| {
+                        let msg = serve(v, &states[v]);
+                        local.record_delivery(msg.message_bits());
+                        merge(u, &mut chunk[u - start], msg);
+                    },
+                );
                 local
             },
             |a, b| a + b,
@@ -2024,19 +2124,22 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
         let ctx = FaultCtx::new(self.seed, round, &self.down_until, &self.fault);
         let ctx = &ctx;
+        let owners = OwnerRanges::new(n, threads);
 
         // Pass 1: as the reliable pass, plus the fault decisions. Straggled
         // pushes are collected per chunk and concatenated in chunk order by
         // the fold, so `pending_delayed` grows in ascending sender order at
         // any thread count.
-        let (delta, mut new_pending) = par::for_chunks(
+        let (delta, mut new_pending, rows) = par::for_chunks2(
             &self.pool,
             &mut self.scratch_targets,
+            &mut self.scratch_delivered,
             threads,
-            (Metrics::default(), Vec::new()),
-            |start, chunk| {
+            (Metrics::default(), Vec::new(), Vec::new()),
+            |start, chunk, out| {
                 let mut local = Metrics::default();
                 let mut pending: Vec<DelayedContact> = Vec::new();
+                let mut row = owners.tally_row();
                 for (j, slot) in chunk.iter_mut().enumerate() {
                     let v = start + j;
                     if !ctx.alive(v) {
@@ -2075,14 +2178,13 @@ impl<S: Clone + Send + Sync> Engine<S> {
                         continue;
                     }
                     local.record_delivery(msg.message_bits());
+                    owners.tally(&mut row, t as u32);
                     *slot = t as u32;
                 }
-                (local, pending)
+                let pushes = chunk.iter().copied();
+                (local, pending, owners.split(start, pushes, row, out))
             },
-            |(ma, mut va), (mb, mut vb)| {
-                va.append(&mut vb);
-                (ma + mb, va)
-            },
+            |(ma, va, ra), (mb, vb, rb)| (ma + mb, concat(va, vb), concat(ra, rb)),
         );
         self.metrics = self.metrics + delta;
         // New entries are due strictly after `round`, so appending before the
@@ -2090,13 +2192,8 @@ impl<S: Clone + Send + Sync> Engine<S> {
         self.pending_delayed.append(&mut new_pending);
         self.collect_due(round);
 
-        self.bucket_deliveries(n);
         let states = &self.states;
-        let (targets, offsets, senders) = (
-            &self.scratch_targets,
-            &self.scratch_offsets,
-            &self.scratch_senders,
-        );
+        let (targets, delivered) = (&self.scratch_targets, &self.scratch_delivered);
         let due = &self.due_scratch;
         let down = &self.down_until;
         let arrivals = par::for_chunks(
@@ -2106,32 +2203,31 @@ impl<S: Clone + Send + Sync> Engine<S> {
             Metrics::default(),
             |start, chunk| {
                 let mut local = Metrics::default();
+                crate::soa::clone_block(chunk, &states[start..start + chunk.len()]);
+                owners.for_each_delivery(
+                    start,
+                    delivered,
+                    &rows,
+                    |v| targets[v],
+                    |v, u| {
+                        if let Some(msg) = make(v, &states[v]) {
+                            fold(u, &mut chunk[u - start], msg);
+                        }
+                    },
+                );
+                // Late arrivals land after this round's in-time deliveries,
+                // in send order; the message is re-derived from the sender's
+                // *current* state (a sender answering `None` now means the
+                // late message evaporates).
+                for &(r, s) in due_in(due, start, chunk.len()) {
+                    let (u, v) = (r as usize, s as usize);
+                    if let Some(msg) = make(v, &states[v]) {
+                        local.record_delivery(msg.message_bits());
+                        fold(u, &mut chunk[u - start], msg);
+                    }
+                }
                 for (j, slot) in chunk.iter_mut().enumerate() {
                     let u = start + j;
-                    slot.clone_from(&states[u]);
-                    let lo = offsets[u].load(Ordering::Relaxed) as usize;
-                    let hi = offsets[u + 1].load(Ordering::Relaxed) as usize;
-                    for s in &senders[lo..hi] {
-                        let v = s.load(Ordering::Relaxed) as usize;
-                        if let Some(msg) = make(v, &states[v]) {
-                            fold(u, slot, msg);
-                        }
-                    }
-                    if !due.is_empty() {
-                        // Late arrivals land after this round's in-time
-                        // deliveries, in send order; the message is
-                        // re-derived from the sender's *current* state (a
-                        // sender answering `None` now means the late message
-                        // evaporates).
-                        let dlo = due.partition_point(|&(r, _)| (r as usize) < u);
-                        for &(_, s) in due[dlo..].iter().take_while(|&&(r, _)| (r as usize) == u) {
-                            let v = s as usize;
-                            if let Some(msg) = make(v, &states[v]) {
-                                local.record_delivery(msg.message_bits());
-                                fold(u, slot, msg);
-                            }
-                        }
-                    }
                     // A crashed node performed nothing this round, so its
                     // `after` hook does not run.
                     if down.is_empty() || down[u] <= round {
@@ -2168,24 +2264,25 @@ impl<S: Clone + Send + Sync> Engine<S> {
         let prefix = NodeRng::key_prefix(self.seed, round, NodeRng::STREAM_ROUND);
         let ctx = FaultCtx::new(self.seed, round, &self.down_until, &self.fault);
         let ctx = &ctx;
+        let owners = OwnerRanges::new(n, threads);
 
         // Pass 1: failure coin, pull target, push target — then the fault
         // decisions per direction. The two directions draw independent loss
         // coins (the pair key is ordered sender-then-receiver).
-        let (delta, mut new_pending) = par::for_chunks2(
+        let (delta, mut new_pending, rows) = par::for_chunks2(
             &self.pool,
-            &mut self.scratch_targets,
-            &mut self.scratch_pull,
+            &mut self.scratch_push_pull,
+            &mut self.scratch_delivered,
             threads,
-            (Metrics::default(), Vec::new()),
-            |start, push_chunk, pull_chunk| {
+            (Metrics::default(), Vec::new(), Vec::new()),
+            |start, chunk, out| {
                 let mut local = Metrics::default();
                 let mut pending: Vec<DelayedContact> = Vec::new();
-                for j in 0..push_chunk.len() {
+                let mut row = owners.tally_row();
+                for (j, slot) in chunk.iter_mut().enumerate() {
                     let v = start + j;
                     if !ctx.alive(v) {
-                        push_chunk[j] = TARGET_SILENT;
-                        pull_chunk[j] = TARGET_SILENT;
+                        *slot = (TARGET_SILENT, TARGET_SILENT);
                         local.record_crash();
                         continue;
                     }
@@ -2193,54 +2290,48 @@ impl<S: Clone + Send + Sync> Engine<S> {
                     let mut rng = prefix.node(v as u64);
                     if !reliable && failure.fails(v, round, &mut rng) {
                         local.record_failure();
-                        push_chunk[j] = TARGET_FAILED;
-                        pull_chunk[j] = TARGET_FAILED;
+                        *slot = (TARGET_FAILED, TARGET_FAILED);
                         continue;
                     }
                     let t_pull = sampler.sample(&mut rng, v);
                     let t_push = sampler.sample(&mut rng, v);
                     // Pull direction: the server `t_pull` answers `v`; pulls
                     // never straggle.
-                    if !ctx.alive(t_pull) || ctx.lost(t_pull, v) {
+                    let pull = if !ctx.alive(t_pull) || ctx.lost(t_pull, v) {
                         local.record_drop();
-                        pull_chunk[j] = TARGET_DROPPED;
+                        TARGET_DROPPED
                     } else {
-                        pull_chunk[j] = t_pull as u32;
-                    }
+                        t_pull as u32
+                    };
                     // Push direction: may straggle.
-                    if let Some(d) = ctx.delay_of(v) {
+                    let push = if let Some(d) = ctx.delay_of(v) {
                         pending.push(DelayedContact {
                             due: round + d,
                             receiver: t_push as u32,
                             sender: v as u32,
                         });
-                        push_chunk[j] = TARGET_DROPPED;
                         local.record_delay();
+                        TARGET_DROPPED
                     } else if !ctx.alive(t_push) || ctx.lost(v, t_push) {
-                        push_chunk[j] = TARGET_DROPPED;
                         local.record_drop();
+                        TARGET_DROPPED
                     } else {
-                        push_chunk[j] = t_push as u32;
-                    }
+                        owners.tally(&mut row, t_push as u32);
+                        t_push as u32
+                    };
+                    *slot = (push, pull);
                 }
-                (local, pending)
+                let pushes = chunk.iter().map(|&(push, _)| push);
+                (local, pending, owners.split(start, pushes, row, out))
             },
-            |(ma, mut va), (mb, mut vb)| {
-                va.append(&mut vb);
-                (ma + mb, va)
-            },
+            |(ma, va, ra), (mb, vb, rb)| (ma + mb, concat(va, vb), concat(ra, rb)),
         );
         self.metrics = self.metrics + delta;
         self.pending_delayed.append(&mut new_pending);
         self.collect_due(round);
 
-        self.bucket_deliveries(n);
         let states = &self.states;
-        let (pulls, offsets, senders) = (
-            &self.scratch_pull,
-            &self.scratch_offsets,
-            &self.scratch_senders,
-        );
+        let (targets, delivered) = (&self.scratch_push_pull, &self.scratch_delivered);
         let due = &self.due_scratch;
         let deliveries = par::for_chunks(
             &self.pool,
@@ -2249,33 +2340,24 @@ impl<S: Clone + Send + Sync> Engine<S> {
             Metrics::default(),
             |start, chunk| {
                 let mut local = Metrics::default();
+                crate::soa::clone_block(chunk, &states[start..start + chunk.len()]);
                 for (j, slot) in chunk.iter_mut().enumerate() {
-                    let u = start + j;
-                    slot.clone_from(&states[u]);
-                    let t_pull = pulls[u];
-                    if (t_pull as usize) < n {
-                        let t = t_pull as usize;
+                    let t = targets[start + j].1 as usize;
+                    if t < n {
                         let msg = serve(t, &states[t]);
                         local.record_delivery(msg.message_bits());
-                        merge(u, slot, msg);
+                        merge(start + j, slot, msg);
                     }
-                    let lo = offsets[u].load(Ordering::Relaxed) as usize;
-                    let hi = offsets[u + 1].load(Ordering::Relaxed) as usize;
-                    for s in &senders[lo..hi] {
-                        let v = s.load(Ordering::Relaxed) as usize;
-                        let msg = serve(v, &states[v]);
-                        local.record_delivery(msg.message_bits());
-                        merge(u, slot, msg);
-                    }
-                    if !due.is_empty() {
-                        let dlo = due.partition_point(|&(r, _)| (r as usize) < u);
-                        for &(_, s) in due[dlo..].iter().take_while(|&&(r, _)| (r as usize) == u) {
-                            let v = s as usize;
-                            let msg = serve(v, &states[v]);
-                            local.record_delivery(msg.message_bits());
-                            merge(u, slot, msg);
-                        }
-                    }
+                }
+                let len = chunk.len();
+                let mut deliver = |v: usize, u: usize| {
+                    let msg = serve(v, &states[v]);
+                    local.record_delivery(msg.message_bits());
+                    merge(u, &mut chunk[u - start], msg);
+                };
+                owners.for_each_delivery(start, delivered, &rows, |v| targets[v].0, &mut deliver);
+                for &(r, s) in due_in(due, start, len) {
+                    deliver(s as usize, r as usize);
                 }
                 local
             },
@@ -2343,192 +2425,6 @@ impl<S: Clone + Send + Sync> Engine<S> {
         }
         collected
     }
-
-    /// Counting-sorts senders into per-receiver CSR buckets: deliveries for
-    /// receiver `u` end up in `senders[offsets[u]..offsets[u + 1]]`, in
-    /// ascending sender order (the sort is stable). Entries of `targets` that
-    /// are not valid node ids (the sentinels) are skipped.
-    ///
-    /// Below [`Engine::PAR_MIN_NODES`] (or at one thread) this is the
-    /// sequential two-pass counting sort; above it, the parallel
-    /// histogram/scan/placement pipeline of [`Engine::bucket_parallel`]. Both
-    /// produce the identical `offsets`/`senders` contents, so the choice is
-    /// invisible in results.
-    fn bucket_deliveries(&mut self, n: usize) {
-        let threads = self.threads.clamp(1, n);
-        if threads > 1 && n >= Self::PAR_MIN_NODES {
-            self.bucket_parallel(n, threads);
-        } else {
-            self.bucket_sequential(n);
-        }
-    }
-
-    /// The sequential counting sort: two linear passes over `u32` buffers.
-    /// (`get_mut` accesses — this thread owns the buffers exclusively.)
-    fn bucket_sequential(&mut self, n: usize) {
-        let offsets = &mut self.scratch_offsets[..=n];
-        for o in offsets.iter_mut() {
-            *o.get_mut() = 0;
-        }
-        for &t in &self.scratch_targets {
-            if (t as usize) < n {
-                *offsets[t as usize + 1].get_mut() += 1;
-            }
-        }
-        for u in 0..n {
-            let prev = *offsets[u].get_mut();
-            *offsets[u + 1].get_mut() += prev;
-        }
-        for (cursor, offset) in self.scratch_cursors[..n].iter_mut().zip(offsets.iter_mut()) {
-            *cursor.get_mut() = *offset.get_mut();
-        }
-        for (v, &t) in self.scratch_targets.iter().enumerate() {
-            if (t as usize) < n {
-                let c = self.scratch_cursors[t as usize].get_mut();
-                let pos = *c;
-                *c = pos + 1;
-                *self.scratch_senders[pos as usize].get_mut() = v as u32;
-            }
-        }
-    }
-
-    /// Caps the parallel bucketing's sender-chunk count. The scan and cursor
-    /// matrices are `chunks × n`, so the chunk count bounds both their memory
-    /// and the scan's total work (`Θ(chunks · n)`) independently of the
-    /// engine's (up to 256) worker threads; past ~8 chunks the bucketing is
-    /// memory-bound anyway, so extra chunks would add scratch and scan
-    /// traffic without adding speed.
-    const MAX_CSR_CHUNKS: usize = 8;
-
-    /// The parallel bucketing pipeline: per-chunk histograms, an exclusive
-    /// prefix scan over power-of-two receiver ranges, and chunk-major
-    /// placement.
-    ///
-    /// Stability argument: receiver `u`'s bucket is laid out as the
-    /// concatenation of per-sender-chunk spans in ascending chunk order (the
-    /// scan hands chunk `c` the cursor base `offsets[u] + Σ_{c' < c}
-    /// hist[c'][u]`), and each chunk places its senders in ascending order
-    /// within its span — so the bucket is globally ascending in sender id,
-    /// exactly what the sequential counting sort produces.
-    ///
-    /// All cross-task buffers are `AtomicU32` with `Relaxed` accesses: within
-    /// a pass every slot has exactly one writer, and the pool's quiescence
-    /// barrier orders the passes.
-    fn bucket_parallel(&mut self, n: usize, threads: usize) {
-        let chunk_len = n.div_ceil(threads.min(Self::MAX_CSR_CHUNKS));
-        let chunks = n.div_ceil(chunk_len);
-        // Power-of-two receiver ranges, so the histogram pass can bin each
-        // target into its range with a shift instead of a division.
-        let range_len = chunk_len.next_power_of_two();
-        let shift = range_len.trailing_zeros();
-        let ranges = n.div_ceil(range_len);
-
-        let hist_len = chunks * n;
-        if self.scratch_hist.len() < hist_len {
-            self.scratch_hist.resize(hist_len, 0);
-        }
-        if self.scratch_cursors.len() < hist_len {
-            self.scratch_cursors
-                .resize_with(hist_len, || AtomicU32::new(0));
-        }
-
-        // Pass A: per-chunk histograms (task `c` owns `hist[c·n .. (c+1)·n]`)
-        // plus per-range subtotals for the scan bases, returned through the
-        // chunk-order fold.
-        let targets = &self.scratch_targets;
-        let range_rows = par::for_chunks(
-            &self.pool,
-            &mut self.scratch_hist[..hist_len],
-            chunks,
-            Vec::new(),
-            |start, hist_chunk| {
-                let c = start / n;
-                hist_chunk.fill(0);
-                let mut row = vec![0u32; ranges];
-                let lo = c * chunk_len;
-                let hi = ((c + 1) * chunk_len).min(n);
-                for &t in &targets[lo..hi] {
-                    if (t as usize) < n {
-                        hist_chunk[t as usize] += 1;
-                        row[(t >> shift) as usize] += 1;
-                    }
-                }
-                vec![row]
-            },
-            |mut a, mut b| {
-                a.append(&mut b);
-                a
-            },
-        );
-
-        // Exclusive scan of the range totals — O(threads²) sequential work.
-        let mut range_base = vec![0u32; ranges + 1];
-        for r in 0..ranges {
-            let total: u32 = range_rows.iter().map(|row| row[r]).sum();
-            range_base[r + 1] = range_base[r] + total;
-        }
-
-        // Pass B: per-range exclusive scan, writing every receiver's bucket
-        // offset and every (chunk, receiver) placement cursor. The loops run
-        // chunk-column-major so every sweep touches a contiguous slice of the
-        // chunk-major matrices (a receiver-major inner loop would make every
-        // store a stride-`n` cache miss).
-        let hist = &self.scratch_hist;
-        let offsets = &self.scratch_offsets;
-        let cursors = &self.scratch_cursors;
-        let base = &range_base;
-        self.pool.run(ranges, &|r| {
-            let lo = r << shift;
-            let hi = ((r + 1) << shift).min(n);
-            // offsets[u] ← Σ_c hist[c][u], one contiguous sweep per chunk…
-            for (offset, &h) in offsets[lo..hi].iter().zip(&hist[lo..hi]) {
-                offset.store(h, Ordering::Relaxed);
-            }
-            for c in 1..chunks {
-                for u in lo..hi {
-                    let sum = offsets[u].load(Ordering::Relaxed) + hist[c * n + u];
-                    offsets[u].store(sum, Ordering::Relaxed);
-                }
-            }
-            // …then the exclusive scan over the range…
-            let mut running = base[r];
-            for offset in &offsets[lo..hi] {
-                let total = offset.load(Ordering::Relaxed);
-                offset.store(running, Ordering::Relaxed);
-                running += total;
-            }
-            // …and the cursor columns: chunk c's base for receiver u is
-            // offsets[u] + Σ_{c' < c} hist[c'][u].
-            for u in lo..hi {
-                cursors[u].store(offsets[u].load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-            for c in 1..chunks {
-                for u in lo..hi {
-                    let prev =
-                        cursors[(c - 1) * n + u].load(Ordering::Relaxed) + hist[(c - 1) * n + u];
-                    cursors[c * n + u].store(prev, Ordering::Relaxed);
-                }
-            }
-        });
-        offsets[n].store(range_base[ranges], Ordering::Relaxed);
-
-        // Pass C: chunk-major stable placement (task `c` advances only its
-        // own cursor column and writes only its senders' reserved slots).
-        let senders = &self.scratch_senders;
-        self.pool.run(chunks, &|c| {
-            let lo = c * chunk_len;
-            let hi = ((c + 1) * chunk_len).min(n);
-            for (dv, &t) in targets[lo..hi].iter().enumerate() {
-                let (v, t) = (lo + dv, t as usize);
-                if t < n {
-                    let cursor = &cursors[c * n + t];
-                    let pos = cursor.load(Ordering::Relaxed);
-                    senders[pos as usize].store(v as u32, Ordering::Relaxed);
-                    cursor.store(pos + 1, Ordering::Relaxed);
-                }
-            }
-        });
-    }
 }
 
 /// ## Sparse rounds: active sets and copy-on-write buffers
@@ -2558,8 +2454,8 @@ impl<S: Clone + Send + Sync> Engine<S> {
 /// Push deliveries are bucketed over the **sparse message set**: a
 /// `(receiver, sender)` pair list sized by the number of messages, sorted
 /// receiver-major (unique keys, so the unstable sort is deterministic and
-/// yields the dense paths' ascending-sender fold order) — never the dense
-/// `O(n)` CSR offsets array.
+/// yields the dense paths' ascending-sender fold order) — never a dense
+/// `O(n)` per-node array.
 ///
 /// A sparse round over [`ActiveSet::full`] is **bit-identical** to its dense
 /// counterpart — same RNG keys per node, same fold order, same metrics — as
@@ -3767,16 +3663,78 @@ mod tests {
 
     #[test]
     fn push_round_folds_in_ascending_sender_order() {
-        let mut e = Engine::from_states(vec![Vec::<u64>::new(); 40], EngineConfig::with_seed(7));
-        e.push_round(
-            |v, _| Some(v as u64),
-            |_, st, msg| st.push(msg),
-            |_, _, _| {},
-        );
-        for received in e.states() {
-            let mut sorted = received.clone();
-            sorted.sort_unstable();
-            assert_eq!(received, &sorted);
+        // 64 threads over 40 nodes cut one-node owner ranges; 3 and 7 cut
+        // ragged ones.
+        let mut reference = None;
+        for threads in [1, 2, 3, 7, 64] {
+            let mut e =
+                Engine::from_states(vec![Vec::<u64>::new(); 40], EngineConfig::with_seed(7));
+            e.set_threads(threads);
+            e.push_round(
+                |v, _| Some(v as u64),
+                |_, st, msg| st.push(msg),
+                |_, _, _| {},
+            );
+            for received in e.states() {
+                let mut sorted = received.clone();
+                sorted.sort_unstable();
+                assert_eq!(received, &sorted, "{threads} threads");
+            }
+            let states = e.into_states();
+            assert_eq!(reference.get_or_insert_with(|| states.clone()), &states);
+        }
+    }
+
+    #[test]
+    fn owner_ranges_match_the_chunk_boundaries() {
+        for n in [2usize, 3, 40, 1000, (1 << 14) + 7, 1 << 20] {
+            for threads in [1, 2, 3, 7, 8, 64, 256] {
+                let owners = OwnerRanges::new(n, threads);
+                let mut data = vec![0usize; n];
+                let pool = WorkerPool::new(1);
+                par::for_chunks(
+                    &pool,
+                    &mut data,
+                    threads,
+                    (),
+                    |start, chunk| chunk.fill(start),
+                    |(), ()| (),
+                );
+                assert_eq!(owners.count, n.div_ceil(owners.len));
+                for (u, &start) in data.iter().enumerate() {
+                    assert_eq!(
+                        owners.owner(u as u32),
+                        start / owners.len,
+                        "n={n} t={threads}"
+                    );
+                    assert_eq!(start % owners.len, 0);
+                }
+            }
+        }
+        // The multiply-high division is exact over the whole u32 range.
+        let mut rng = NodeRng::keyed(1, 2, 3, 4);
+        for len in [2u64, 3, 7, 1 << 13, 16_391, 333_333, u32::MAX as u64 - 3] {
+            let owners = OwnerRanges {
+                n: u32::MAX as usize,
+                len: len as usize,
+                count: 0,
+                magic: (u64::MAX / len).wrapping_add(1),
+            };
+            for u in [
+                0,
+                1,
+                len - 1,
+                len,
+                len + 1,
+                u32::MAX as u64 - 1,
+                u32::MAX as u64,
+            ] {
+                assert_eq!(owners.owner(u as u32) as u64, u / len);
+            }
+            for _ in 0..10_000 {
+                let u = rng.next_u64() as u32;
+                assert_eq!(owners.owner(u) as u64, u64::from(u) / len);
+            }
         }
     }
 

@@ -78,6 +78,15 @@ pub fn num_threads() -> usize {
         .clamp(1, 256)
 }
 
+/// Length of the chunks the dense helpers ([`for_chunks`], [`for_chunks2`],
+/// [`for_rows`], [`for_rows2`]) cut `len` rows into at `threads`; chunk `i`
+/// starts at row `i * chunk_len` and only the last may be shorter. Callers
+/// that must know a map's chunk boundaries in advance use this instead of
+/// re-deriving them.
+pub(crate) fn chunk_len(len: usize, threads: usize) -> usize {
+    len.div_ceil(threads.clamp(1, len.max(1)))
+}
+
 /// Runs `map` over `threads` contiguous chunks of `data` on `pool` and folds
 /// the per-chunk results in chunk order.
 ///
@@ -138,7 +147,7 @@ where
     if threads == 1 {
         return reduce(identity, map(0, a, b));
     }
-    let chunk = n.div_ceil(threads);
+    let chunk = chunk_len(n, threads);
     // Hand each chunk pair to its task through a once-takeable cell, and
     // collect each task's accumulator in its own slot — O(threads)
     // bookkeeping, the only per-map allocation.
@@ -347,7 +356,7 @@ where
     if threads == 1 {
         return reduce(identity, map(0, a, b));
     }
-    let chunk = n.div_ceil(threads);
+    let chunk = chunk_len(n, threads);
     #[allow(clippy::type_complexity)]
     let chunks: Vec<Mutex<Option<(&mut [T], &mut [U])>>> = a
         .chunks_mut(chunk * wa)
@@ -401,7 +410,7 @@ where
     if threads == 1 {
         return reduce(identity, map(0, data));
     }
-    let chunk = n.div_ceil(threads);
+    let chunk = chunk_len(n, threads);
     let chunks: Vec<Mutex<Option<&mut [T]>>> = data
         .chunks_mut(chunk * width)
         .map(|c| Mutex::new(Some(c)))

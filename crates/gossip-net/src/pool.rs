@@ -55,8 +55,8 @@
 //! yields the CPU periodically so an oversubscribed host keeps making
 //! progress, and a worker that outlives the budget parks on the condvar and
 //! is woken by the next phase bump). Between phases the owner thread —
-//! executor 0 — performs the program's short sequential work (CSR prefix
-//! scans, buffer swaps, metrics folds, active-set unions) while the workers
+//! executor 0 — performs the program's short sequential work (straggler
+//! drains, buffer swaps, metrics folds, active-set unions) while the workers
 //! wait at the barrier. The per-phase quiescence wait (`remaining == 0`)
 //! plays the same lifetime-erasure-soundness role as `running == 0` does for
 //! plain jobs.

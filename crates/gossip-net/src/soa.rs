@@ -33,7 +33,7 @@
 //!   maximal contiguous id runs are swapped with `swap_with_slice` instead
 //!   of slot-by-slot `mem::swap`.
 //! * [`prefetch_read`] — a best-effort software prefetch, used by the
-//!   delivery gathers (pull targets, CSR sender states, sparse pair lists)
+//!   delivery gathers (pull targets, sparse pair lists)
 //!   to issue the random-access loads [`prefetch_dist`] iterations ahead of
 //!   their use.
 //!

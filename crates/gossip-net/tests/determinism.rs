@@ -208,10 +208,10 @@ fn local_step_is_identical_across_thread_counts() {
 }
 
 #[test]
-fn parallel_csr_bucketing_is_thread_count_invariant() {
-    // Above Engine::PAR_MIN_NODES, multi-thread push paths bucket deliveries
-    // with the parallel histogram/scan/placement pipeline; 1 thread uses the
-    // sequential counting sort. Both must yield the identical execution.
+fn owner_range_push_delivery_is_thread_count_invariant() {
+    // Multi-thread push paths split each sender chunk's deliveries by the
+    // receiver range that owns them and fold range by range; 1 thread walks
+    // the targets directly. Both must yield the identical execution.
     let run = |threads: usize| {
         let mut e = engine(20_000, 17, FailureModel::uniform(0.15).unwrap());
         e.set_threads(threads);
@@ -235,7 +235,7 @@ fn parallel_csr_bucketing_is_thread_count_invariant() {
         assert_eq!(
             run(threads),
             baseline,
-            "{threads}-thread CSR bucketing diverged"
+            "{threads}-thread push delivery diverged"
         );
     }
 }
@@ -272,11 +272,11 @@ fn non_complete_topologies_are_thread_count_invariant() {
 }
 
 #[test]
-fn parallel_csr_bucketing_with_sparse_topology_is_thread_count_invariant() {
-    // Push paths above Engine::PAR_MIN_NODES bucket deliveries with the
-    // parallel CSR pipeline; sparse peer sampling concentrates receivers
-    // (every delivery lands in a small neighbourhood), which must not
-    // perturb the stable placement at any thread count.
+fn owner_range_push_delivery_with_sparse_topology_is_thread_count_invariant() {
+    // Multi-thread push paths split deliveries by owner range; sparse peer
+    // sampling concentrates receivers (every delivery lands in a small
+    // neighbourhood, so most sub-lists stay near their sender's own range),
+    // which must not perturb the fold order at any thread count.
     let run = |threads: usize| {
         let config = EngineConfig::with_seed(31)
             .failure(FailureModel::uniform(0.15).unwrap())
@@ -304,15 +304,15 @@ fn parallel_csr_bucketing_with_sparse_topology_is_thread_count_invariant() {
         assert_eq!(
             run(threads),
             baseline,
-            "{threads}-thread sparse-topology CSR bucketing diverged"
+            "{threads}-thread sparse-topology push delivery diverged"
         );
     }
 }
 
 #[test]
 fn sparse_push_at_20k_is_thread_count_invariant() {
-    // The sparse execution path at the size where the *dense* push takes the
-    // parallel-CSR pipeline: an active subset pushes through push_round_on
+    // The sparse execution path at the size where the *dense* push splits
+    // its deliveries by owner range: an active subset pushes through push_round_on
     // (pair-sort bucketing, copy-on-write commit), interleaved with a dense
     // pull so sparse-written and densely-written buffers mix. Results and the
     // reported receiver sets must be identical at 1/2/8 threads.
@@ -471,9 +471,10 @@ fn mixed_rounds_are_identical_across_thread_counts_with_fault_injection() {
 
 #[test]
 fn large_n_fault_injection_is_thread_count_invariant() {
-    // Above the parallel-CSR threshold, the faulty push passes concatenate
-    // straggled contacts chunk-by-chunk and fold due arrivals after the
-    // in-round deliveries; both must be invisible to the thread count.
+    // At multi-thread chunking, the faulty push passes concatenate straggled
+    // contacts chunk-by-chunk, split deliveries by owner range and fold due
+    // arrivals after the in-round deliveries; all must be invisible to the
+    // thread count.
     let run = |threads: usize| {
         let mut e = fault_engine(20_000, 71);
         e.set_threads(threads);
@@ -500,7 +501,7 @@ fn large_n_fault_injection_is_thread_count_invariant() {
         assert_eq!(
             run(threads),
             baseline,
-            "{threads}-thread faulty CSR path diverged"
+            "{threads}-thread faulty push path diverged"
         );
     }
 }

@@ -19,8 +19,9 @@
 //! exits non-zero, so it doubles as a standalone check).
 //!
 //! Every scenario runs at `par::num_threads()` worker threads, so CI's
-//! `GOSSIP_NUM_THREADS=1/2/8` matrix checks each pin at all three thread
-//! counts (including, at the large sizes, the parallel CSR bucketing path).
+//! `GOSSIP_NUM_THREADS=1/2/3/8` matrix checks each pin at all four thread
+//! counts (including, at the large sizes, the push rounds' owner-range split:
+//! one range at 1 thread, several — uneven at 3 — otherwise).
 
 #[path = "support/goldens.rs"]
 mod support;
@@ -132,9 +133,9 @@ fn golden_mixed_sequence() {
 
 #[test]
 fn golden_large_n_covers_parallel_paths() {
-    // Big enough that multi-thread runs of the CI matrix take the parallel
-    // CSR bucketing and chunked round paths; the pins must match the
-    // sequential values bit for bit.
+    // Big enough that multi-thread runs of the CI matrix take the chunked
+    // round paths, where push deliveries are split by owner range and folded
+    // range by range; the pins must match the one-range values bit for bit.
     let mut e = engine(20_000, 707, FailureModel::None);
     pull_rounds(&mut e, 2);
     push_rounds(&mut e, 2);

@@ -68,9 +68,8 @@ proptest! {
         prop_assert_eq!(reference, blocked);
     }
 
-    /// Push and push–pull rounds (whose pass 2 now refreshes the back buffer
-    /// in blocks and prefetches the CSR sender gather) are invariant under
-    /// the layout knobs.
+    /// Push and push–pull rounds are invariant under the layout knobs (their
+    /// delivery pass uses neither; this keeps it that way).
     fn dense_push_rounds_are_knob_invariant(
         size in (16usize..600, 0u64..1_000_000),
         knobs in (1usize..512, 0usize..64),

@@ -135,8 +135,8 @@ fn golden_faulted_mixed_replays_through_fused() {
 
 #[test]
 fn golden_large_n_replays_through_a_program() {
-    // Large enough that multi-thread CI matrix entries take the parallel CSR
-    // bucketing path *inside resident phases*.
+    // Large enough that multi-thread CI matrix entries take the owner-range
+    // push delivery *inside resident phases*.
     let mut e = engine(20_000, 707, FailureModel::None);
     let mut p: RoundProgram<'_, u64> = RoundProgram::new();
     record_pulls(&mut p, 2);

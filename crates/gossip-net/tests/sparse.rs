@@ -116,7 +116,7 @@ fn full_set_local_step_matches_dense_golden_pin() {
 #[test]
 fn full_set_large_n_matches_dense_golden_pin() {
     // The 20k scenario of golden.rs: at multi-thread runs of the CI matrix,
-    // the *dense* engine takes the parallel CSR path here; the sparse full-set
+    // the *dense* engine splits push deliveries by owner range here; the sparse full-set
     // run must land on the identical trajectory through its pair-sort
     // bucketing.
     let mut e = engine(20_000, 707, FailureModel::None);

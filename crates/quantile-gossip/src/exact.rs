@@ -429,8 +429,10 @@ fn count_at_most<V: NodeValue>(
     let indicators: Vec<bool> = keys.iter().map(|k| k <= bound).collect();
     let out = push_sum::count_matching(&indicators, counting, engine_config)?;
     let mut rounded: Vec<i64> = out.estimates.iter().map(|e| e.round() as i64).collect();
-    rounded.sort_unstable();
-    let count = rounded[rounded.len() / 2].max(0) as u64;
+    // The median estimate is the one order statistic needed: a selection,
+    // not a full sort.
+    let mid = rounded.len() / 2;
+    let count = (*rounded.select_nth_unstable(mid).1).max(0) as u64;
     Ok((count, out.rounds, out.metrics))
 }
 
