@@ -11,21 +11,25 @@
 //!   fold, so any change in delivery order changes the fingerprint.
 //!
 //! Each `(kind, n, threads)` cell is timed over 7 runs of a fixed round
-//! count on a fresh engine; a row holds the median per-round time, its σ,
-//! and a fingerprint of the final states.
+//! count, each on a fresh engine, and reports the median per-round time and
+//! its σ. Every run fingerprints the final states.
+//!
+//! For a same-host A/B, build this bench on the baseline revision too and
+//! point `PUSH_DELIVERY_BASELINE` at that executable (the path `cargo bench
+//! --no-run` prints). Each run then becomes a pair: the baseline executable
+//! times the same cell in a child process (`PUSH_DELIVERY_CELL`), and the
+//! two sides alternate which goes first. The run writes the `push_delivery`
+//! section of `BENCH_engine.json` (old = baseline build, new = this build,
+//! `new_faster_pairs` out of `runs`) and fails unless every fingerprint of
+//! both builds is identical.
 //!
 //! ```text
-//! # on the baseline revision (same bench source):
-//! PUSH_DELIVERY_OUT=/tmp/base.txt cargo bench -p bench --bench push_delivery
-//! # on the candidate, merging the baseline into BENCH_engine.json:
-//! PUSH_DELIVERY_BASELINE=/tmp/base.txt cargo bench -p bench --bench push_delivery
+//! PUSH_DELIVERY_BASELINE=/path/to/baseline/push_delivery-<hash> \
+//!     cargo bench -p bench --bench push_delivery
 //! ```
 //!
-//! With a baseline the run writes the `push_delivery` section of
-//! `BENCH_engine.json` (old = baseline build, new = this build,
-//! `identical_states` = equal fingerprints) and fails if a fingerprint
-//! differs. `PUSH_DELIVERY_QUICK=1` shrinks the grid to a bit-rot check and
-//! writes nothing.
+//! `PUSH_DELIVERY_QUICK=1` shrinks the grid to a bit-rot check and writes
+//! nothing.
 
 use gossip_net::{Engine, EngineConfig};
 use std::time::Instant;
@@ -128,16 +132,6 @@ fn run(kind: &str, n: usize, threads: usize, rounds: usize) -> (f64, u64) {
     }
 }
 
-/// One measured cell: median and σ of the per-round time over [`RUNS`] runs.
-struct Cell {
-    kind: &'static str,
-    n: usize,
-    threads: usize,
-    median_us: f64,
-    std_us: f64,
-    fp: u64,
-}
-
 fn median_std(mut xs: Vec<f64>) -> (f64, f64) {
     xs.sort_by(f64::total_cmp);
     let mid = xs.len() / 2;
@@ -151,101 +145,97 @@ fn median_std(mut xs: Vec<f64>) -> (f64, f64) {
     (median, var.sqrt())
 }
 
-fn measure() -> Vec<Cell> {
+/// One run of a cell in the baseline build: `PUSH_DELIVERY_CELL` makes the
+/// baseline binary time that cell once and print `<µs> <fingerprint>`.
+fn baseline_run(
+    bin: &std::ffi::OsStr,
+    kind: &str,
+    n: usize,
+    threads: usize,
+    rounds: usize,
+) -> (f64, u64) {
+    let out = std::process::Command::new(bin)
+        .env(
+            "PUSH_DELIVERY_CELL",
+            format!("{kind} {n} {threads} {rounds}"),
+        )
+        .output()
+        .expect("running the baseline bench binary");
+    assert!(out.status.success(), "baseline run failed: {out:?}");
+    let text = String::from_utf8(out.stdout).expect("baseline output is UTF-8");
+    let mut fields = text.split_whitespace();
+    let us = fields.next().and_then(|f| f.parse().ok());
+    let fp = fields.next().and_then(|f| u64::from_str_radix(f, 16).ok());
+    (us.expect("baseline µs"), fp.expect("baseline fingerprint"))
+}
+
+fn main() {
+    if let Ok(cell) = std::env::var("PUSH_DELIVERY_CELL") {
+        let f: Vec<&str> = cell.split_whitespace().collect();
+        let parse = |i: usize| f[i].parse::<usize>().expect("PUSH_DELIVERY_CELL field");
+        let (us, fp) = run(f[0], parse(1), parse(2), parse(3));
+        println!("{us} {fp:016x}");
+        return;
+    }
+    let baseline = std::env::var_os("PUSH_DELIVERY_BASELINE");
     let grid: &[(usize, usize)] = if quick() {
         &[(1 << 12, 20)]
     } else {
         &[(32_768, 400), (250_000, 60), (1_000_000, 16)]
     };
     let runs = if quick() { 2 } else { RUNS };
-    let mut cells = Vec::new();
+    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let mut rows = Vec::new();
     for kind in ["push_sum", "push_pull_u64"] {
         for &(n, rounds) in grid {
             for threads in [1, 2] {
-                let mut times = Vec::with_capacity(runs);
-                let mut fp = None;
-                for _ in 0..runs {
-                    let (us, f) = run(kind, n, threads, rounds);
-                    assert!(fp.unwrap_or(f) == f, "{kind} n={n} is not deterministic");
-                    fp = Some(f);
-                    times.push(us);
+                let (mut new, mut old, mut wins) = (Vec::new(), Vec::new(), 0);
+                let mut fps = Vec::new();
+                for r in 0..runs {
+                    // Alternate which build runs first, so host drift hits
+                    // both sides alike.
+                    let mut pair = [None, None];
+                    for side in [r % 2, 1 - r % 2] {
+                        pair[side] = match (side, &baseline) {
+                            (0, _) => Some(run(kind, n, threads, rounds)),
+                            (_, Some(bin)) => Some(baseline_run(bin, kind, n, threads, rounds)),
+                            (_, None) => None,
+                        };
+                    }
+                    let (us, fp) = pair[0].expect("own run");
+                    new.push(us);
+                    fps.push(fp);
+                    if let Some((base_us, base_fp)) = pair[1] {
+                        old.push(base_us);
+                        fps.push(base_fp);
+                        wins += usize::from(us < base_us);
+                    }
                 }
-                let (median_us, std_us) = median_std(times);
-                println!(
-                    "push_delivery {kind} n={n} threads={threads}: {median_us:.1} ± {std_us:.1} µs/round (fp {:016x})",
-                    fp.unwrap()
+                let identical = fps.iter().all(|&f| f == fps[0]);
+                assert!(
+                    identical,
+                    "{kind} n={n} threads={threads}: final states differ"
                 );
-                cells.push(Cell {
-                    kind,
-                    n,
-                    threads,
-                    median_us,
-                    std_us,
-                    fp: fp.unwrap(),
-                });
+                let (new_us, new_std) = median_std(new);
+                println!("push_delivery {kind} n={n} threads={threads}: {new_us:.1} ± {new_std:.1} µs/round");
+                if old.is_empty() {
+                    continue;
+                }
+                let (old_us, old_std) = median_std(old);
+                println!("  baseline: {old_us:.1} ± {old_std:.1} µs/round, new faster in {wins}/{runs} pairs");
+                rows.push(format!(
+                    "    {{\"change\": \"push_scatter\", \"kind\": \"{kind}\", \"n\": {n}, \
+                     \"threads\": {threads}, \"host_cores\": {host_cores}, \"runs\": {runs}, \
+                     \"round_us_old\": {old_us:.3}, \"std_old\": {old_std:.3}, \
+                     \"round_us_new\": {new_us:.3}, \"std_new\": {new_std:.3}, \
+                     \"speedup\": {:.3}, \"new_faster_pairs\": {wins}, \
+                     \"identical_states\": {identical}}}",
+                    old_us / new_us
+                ));
             }
         }
     }
-    cells
-}
-
-fn cell_line(c: &Cell) -> String {
-    format!(
-        "{} {} {} {:.3} {:.3} {:016x}",
-        c.kind, c.n, c.threads, c.median_us, c.std_us, c.fp
-    )
-}
-
-fn main() {
-    let cells = measure();
-    if quick() {
-        return;
+    if !rows.is_empty() && !quick() {
+        bench::report_json::write_section("push_delivery", &rows);
     }
-    if let Some(path) = std::env::var_os("PUSH_DELIVERY_OUT") {
-        let text: String = cells.iter().map(|c| cell_line(c) + "\n").collect();
-        std::fs::write(&path, text).expect("writing PUSH_DELIVERY_OUT");
-    }
-    let Some(path) = std::env::var_os("PUSH_DELIVERY_BASELINE") else {
-        return;
-    };
-    let baseline = std::fs::read_to_string(&path).expect("reading PUSH_DELIVERY_BASELINE");
-    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut rows = Vec::new();
-    for c in &cells {
-        let old = baseline
-            .lines()
-            .map(|l| l.split_whitespace().collect::<Vec<_>>())
-            .find(|f| {
-                f.len() == 6
-                    && f[0] == c.kind
-                    && f[1] == c.n.to_string()
-                    && f[2] == c.threads.to_string()
-            })
-            .unwrap_or_else(|| {
-                panic!(
-                    "baseline has no {} n={} threads={} cell",
-                    c.kind, c.n, c.threads
-                )
-            });
-        let (old_us, old_std): (f64, f64) = (old[3].parse().unwrap(), old[4].parse().unwrap());
-        let identical = old[5] == format!("{:016x}", c.fp);
-        rows.push(format!(
-            "    {{\"change\": \"push_scatter\", \"kind\": \"{}\", \"n\": {}, \"threads\": {}, \
-             \"host_cores\": {host_cores}, \"runs\": {RUNS}, \"round_us_old\": {old_us:.3}, \
-             \"std_old\": {old_std:.3}, \"round_us_new\": {:.3}, \"std_new\": {:.3}, \
-             \"speedup\": {:.3}, \"identical_states\": {identical}}}",
-            c.kind,
-            c.n,
-            c.threads,
-            c.median_us,
-            c.std_us,
-            old_us / c.median_us
-        ));
-        assert!(
-            identical,
-            "{} n={} threads={}: final states differ from the baseline",
-            c.kind, c.n, c.threads
-        );
-    }
-    bench::report_json::write_section("push_delivery", &rows);
 }
