@@ -909,7 +909,7 @@ impl<S> Engine<S> {
         pool.run_program(|| f(self))
     }
 
-    /// Overrides the cache-blocked refresh block size (slots per
+    /// Overrides the pull round's cache-blocked refresh block size (slots per
     /// [`crate::soa::clone_block`] block; clamped to at least 1). Defaults to
     /// `GOSSIP_COPY_BLOCK` / [`crate::soa::copy_block`]. **Results never
     /// depend on this value** — only the order cache lines are touched in;
@@ -919,10 +919,10 @@ impl<S> Engine<S> {
         self
     }
 
-    /// Overrides the software-prefetch lookahead of the delivery gathers
-    /// (`0` disables prefetching). Defaults to `GOSSIP_PREFETCH_DIST` /
-    /// [`crate::soa::prefetch_dist`]. **Results never depend on this
-    /// value** — prefetches are pure cache hints.
+    /// Overrides the software-prefetch lookahead of the pull and sparse
+    /// delivery gathers (`0` disables prefetching). Defaults to
+    /// `GOSSIP_PREFETCH_DIST` / [`crate::soa::prefetch_dist`]. **Results
+    /// never depend on this value** — prefetches are pure cache hints.
     pub fn set_prefetch_dist(&mut self, dist: usize) -> &mut Self {
         self.prefetch_dist = dist;
         self
