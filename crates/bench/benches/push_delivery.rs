@@ -217,12 +217,16 @@ fn main() {
                     "{kind} n={n} threads={threads}: final states differ"
                 );
                 let (new_us, new_std) = median_std(new);
-                println!("push_delivery {kind} n={n} threads={threads}: {new_us:.1} ± {new_std:.1} µs/round");
+                let cell = format!("{kind} n={n} threads={threads}");
+                println!("push_delivery {cell}: {new_us:.1} ± {new_std:.1} µs/round");
                 if old.is_empty() {
                     continue;
                 }
                 let (old_us, old_std) = median_std(old);
-                println!("  baseline: {old_us:.1} ± {old_std:.1} µs/round, new faster in {wins}/{runs} pairs");
+                println!(
+                    "  baseline: {old_us:.1} ± {old_std:.1} µs/round, \
+                     new faster in {wins}/{runs} pairs"
+                );
                 rows.push(format!(
                     "    {{\"change\": \"push_scatter\", \"kind\": \"{kind}\", \"n\": {n}, \
                      \"threads\": {threads}, \"host_cores\": {host_cores}, \"runs\": {runs}, \

@@ -180,7 +180,7 @@ fn pool_reuse_across_engines_is_invisible_in_the_results() {
 #[test]
 fn local_step_is_identical_across_thread_counts() {
     // The dedicated local_step matrix: algorithm-local coins plus an
-    // order-sensitive fold of a shared read-only capture, at 1/2/8 threads.
+    // order-sensitive fold of a shared read-only capture, at 1/2/3/8 threads.
     let run = |threads: usize| {
         let mut e = engine(1000, 31, FailureModel::None);
         e.set_threads(threads);
@@ -312,10 +312,11 @@ fn owner_range_push_delivery_with_sparse_topology_is_thread_count_invariant() {
 #[test]
 fn sparse_push_at_20k_is_thread_count_invariant() {
     // The sparse execution path at the size where the *dense* push splits
-    // its deliveries by owner range: an active subset pushes through push_round_on
-    // (pair-sort bucketing, copy-on-write commit), interleaved with a dense
-    // pull so sparse-written and densely-written buffers mix. Results and the
-    // reported receiver sets must be identical at 1/2/8 threads.
+    // its deliveries by owner range: an active subset pushes through
+    // push_round_on (pair-sort bucketing, copy-on-write commit), interleaved
+    // with a dense pull so sparse-written and densely-written buffers mix.
+    // Results and the reported receiver sets must be identical at 1/2/3/8
+    // threads.
     let run = |threads: usize| {
         let n = 20_000;
         let active = ActiveSet::from_fn(n, |v| v % 11 == 0);

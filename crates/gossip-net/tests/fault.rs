@@ -14,7 +14,7 @@
 //!   fault deltas mid-protocol;
 //! * fault injection composes with restricted topologies.
 //!
-//! Every test runs at `par::num_threads()` workers, so CI's 1/2/8-thread
+//! Every test runs at `par::num_threads()` workers, so CI's 1/2/3/8-thread
 //! matrix exercises the faulty dispatch at each thread count.
 
 use gossip_net::{

@@ -8,7 +8,7 @@
 //! `set_batch_commit(false)`).
 //!
 //! Property tests draw those knobs arbitrarily (proptest); every test runs
-//! at `par::num_threads()` workers, so CI's 1/2/8-thread matrix exercises
+//! at `par::num_threads()` workers, so CI's 1/2/3/8-thread matrix exercises
 //! the blocked paths at each thread count.
 
 use gossip_net::{par, soa, ActiveSet, Engine, EngineConfig, FailureModel, Metrics};

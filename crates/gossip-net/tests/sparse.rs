@@ -12,7 +12,7 @@
 //!    and dense runs agree wherever dense activity is emulated with silent
 //!    senders, and metrics count participants instead of `n`.
 //!
-//! Every test runs at `par::num_threads()` workers, so CI's 1/2/8-thread
+//! Every test runs at `par::num_threads()` workers, so CI's 1/2/3/8-thread
 //! matrix exercises the sparse dispatch at each thread count.
 
 #[path = "support/goldens.rs"]
