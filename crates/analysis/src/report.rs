@@ -93,10 +93,10 @@ impl Table {
 /// rounds, or a token-scattering phase touching only `o(n)` senders).
 ///
 /// The trailing `dispatches` / `wakeups` columns render the scheduling
-/// counters (`Metrics::pool_dispatches`, `Metrics::worker_wakeups`): on a
-/// fused round program the whole schedule costs one dispatch, so a
-/// `rounds ≫ dispatches` row makes the fusion's savings observable instead
-/// of inferred from wall clock.
+/// counters (`Metrics::pool_dispatches`, `Metrics::worker_wakeups`): one
+/// dispatch per parallel map, and the parked workers those dispatches woke,
+/// so a row shows the dispatch cost of a phase instead of leaving it to be
+/// inferred from wall clock.
 pub fn round_budget_table(title: impl Into<String>, entries: &[(String, Metrics)]) -> Table {
     let mut table = Table::new(
         title,

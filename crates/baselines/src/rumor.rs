@@ -24,9 +24,7 @@
 //! ([`spread_min_max`] stays dense: in min/max aggregation every node holds
 //! information from round 0, so there is no sparse phase to exploit.)
 
-use gossip_net::{
-    ActiveSet, Engine, EngineConfig, GossipError, Metrics, NodeValue, Result, RoundProgram,
-};
+use gossip_net::{ActiveSet, Engine, EngineConfig, GossipError, Metrics, NodeValue, Result};
 
 /// How long to run the spreading process.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,12 +134,8 @@ pub fn spread_min_max<V: NodeValue>(
     let mut engine = Engine::from_states(states, engine_config);
     let total_rounds = rounds.rounds_for(values.len());
 
-    // A fixed schedule of identical push–pull rounds: record it once as a
-    // round program and replay it fused (one pool dispatch for the whole
-    // spread).
-    let mut program: RoundProgram<'_, MinMaxState<V>> = RoundProgram::new();
     for _ in 0..total_rounds {
-        program.push_pull(
+        engine.push_pull_round(
             |_, st| (st.min, st.max),
             |_, st, (lo, hi)| {
                 if lo < st.min {
@@ -153,7 +147,6 @@ pub fn spread_min_max<V: NodeValue>(
             },
         );
     }
-    engine.run_program(&mut program);
 
     let metrics = engine.metrics();
     let states = engine.into_states();
@@ -237,27 +230,21 @@ pub fn spread_rumor(
     let budget = rounds.rounds_for(n);
     let mut informed_per_round = vec![active.len()];
 
-    // One fused round program for the whole doubling process: the schedule
-    // is data-dependent (each round's active set is grown from the previous
-    // round's receivers, and the loop stops at full coverage), so the live
-    // loop runs inside `Engine::fused` — the pool wakes once, every sparse
-    // push dispatches as a resident phase, and the active-set union runs on
-    // the session thread between phases. Bit-identical to the unfused loop.
+    // Each round's active set is grown from the previous round's
+    // receivers; the loop stops at full coverage.
     let mut executed = 0u64;
-    engine.fused(|engine| {
-        while executed < budget && active.len() < n {
-            let out = engine.push_round_on(
-                &active,
-                // Every informed node pushes the one-bit rumor.
-                |_, _| Some(true),
-                |_, st, _| *st = true,
-                |_, _, _| {},
-            );
-            executed += 1;
-            active.union_sorted(&out.receivers);
-            informed_per_round.push(active.len());
-        }
-    });
+    while executed < budget && active.len() < n {
+        let out = engine.push_round_on(
+            &active,
+            // Every informed node pushes the one-bit rumor.
+            |_, _| Some(true),
+            |_, st, _| *st = true,
+            |_, _, _| {},
+        );
+        executed += 1;
+        active.union_sorted(&out.receivers);
+        informed_per_round.push(active.len());
+    }
 
     let metrics = engine.metrics();
     let informed = engine.into_states();
@@ -292,10 +279,8 @@ pub fn spread_max_tagged<V: NodeValue>(
     }
     let mut engine = Engine::from_states(tagged.to_vec(), engine_config);
     let total_rounds = rounds.rounds_for(tagged.len());
-    // Fixed schedule → recorded program, replayed as one fused dispatch.
-    let mut program: RoundProgram<'_, (u64, V)> = RoundProgram::new();
     for _ in 0..total_rounds {
-        program.push_pull(
+        engine.push_pull_round(
             |_, st| *st,
             |_, st, m| {
                 if m > *st {
@@ -304,7 +289,6 @@ pub fn spread_max_tagged<V: NodeValue>(
             },
         );
     }
-    engine.run_program(&mut program);
     let metrics = engine.metrics();
     let states = engine.into_states();
     let true_max = *tagged.iter().max().expect("non-empty");

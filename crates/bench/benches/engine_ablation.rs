@@ -1,7 +1,7 @@
 //! Three ablations of the engine's round machinery:
 //!
 //! 1. **Per-pass round costs** (`engine_rounds`): the steady-state cost of one
-//!    round of each primitive — pull (a single fused double-buffer dispatch),
+//!    round of each primitive — pull (a single double-buffer dispatch),
 //!    push and push–pull (a draw pass that splits deliveries by owner range,
 //!    then a delivery pass per receiver range), and `local_step` — with and
 //!    without failure injection, so a change to any pass (snapshot fusion,

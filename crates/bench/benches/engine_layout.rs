@@ -4,7 +4,7 @@
 //! same process, back to back, so the comparison is free of toolchain and
 //! host drift. Three changes:
 //!
-//! 1. **`pull_blocked_prefetch`**: the dense pull round's fused per-slot loop
+//! 1. **`pull_blocked_prefetch`**: the dense pull round's single per-slot loop
 //!    ([`Engine::pull_round_reference`], the pre-PR-8 code, verbatim) vs the
 //!    cache-blocked back-buffer refresh + batched, software-prefetched target
 //!    gather that [`Engine::pull_round`] now runs.

@@ -8,20 +8,14 @@
 //! amortises dispatch and moves that crossover left. Watch the `speedup`
 //! column of those rows across PRs.
 //!
-//! The `program` section measures the same pull schedule **looped vs fused**:
-//! the looped run dispatches the pool once per round, the fused run records
-//! the schedule into a [`RoundProgram`] and replays it as one resident
-//! session. At small n with workers, the per-round hand-off dominates and
-//! fusion should win outright; at 1M nodes the round bodies dominate and the
-//! two must agree within noise. Each row also pins the engine's dispatch
-//! counters for both variants (R dispatches looped, 1 fused) and asserts the
-//! final states are bit-identical.
+//! On a host with more than one core the bench also writes a `scaling`
+//! section: speedup and parallel efficiency (speedup / threads) per n.
 //!
 //! Besides the usual criterion output, this bench writes `BENCH_engine.json`
 //! (in the workspace root, or `$BENCH_ENGINE_JSON`) so future PRs have a perf
 //! trajectory to compare against. Each JSON row reports the **median** of
 //! five warmed measurements plus their sample standard deviation (`std_1t` /
-//! `std_mt`, `std_loop` / `std_program`), so regressions can be judged
+//! `std_mt`), so regressions can be judged
 //! against run-to-run noise instead of a single best-of number:
 //!
 //! ```text
@@ -29,7 +23,7 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gossip_net::{par, Engine, EngineConfig, RoundProgram};
+use gossip_net::{par, Engine, EngineConfig};
 use std::time::Instant;
 
 /// Rounds per measurement at a given n (many at small n so dispatch overhead
@@ -79,60 +73,6 @@ fn final_states(n: usize, threads: usize, rounds: u64) -> Vec<u64> {
         );
     }
     engine.into_states()
-}
-
-/// Records the max-spread pull schedule into `program`.
-fn record_pull_schedule(program: &mut RoundProgram<'_, u64>, rounds: u64) {
-    for _ in 0..rounds {
-        program.pull(
-            |_, &s| s,
-            |_, st, p| {
-                if let Some(p) = p {
-                    *st = (*st).max(p);
-                }
-            },
-        );
-    }
-}
-
-/// Runs the schedule as one fused program and returns rounds/sec (recording
-/// time excluded — a schedule is recorded once and replayed per epoch).
-fn measure_pull_program_rounds_per_sec(n: usize, threads: usize, rounds: u64) -> f64 {
-    let mut engine = max_spread_engine(n, 42, threads);
-    let mut program: RoundProgram<'_, u64> = RoundProgram::new();
-    record_pull_schedule(&mut program, rounds);
-    let start = Instant::now();
-    engine.run_program(&mut program);
-    rounds as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Final states plus the pool dispatches the run cost, looped or fused.
-fn run_pull_counting_dispatches(
-    n: usize,
-    threads: usize,
-    rounds: u64,
-    fused: bool,
-) -> (Vec<u64>, u64) {
-    let mut engine = max_spread_engine(n, 42, threads);
-    let before = engine.metrics().pool_dispatches;
-    if fused {
-        let mut program: RoundProgram<'_, u64> = RoundProgram::new();
-        record_pull_schedule(&mut program, rounds);
-        engine.run_program(&mut program);
-    } else {
-        for _ in 0..rounds {
-            engine.pull_round(
-                |_, &s| s,
-                |_, st, p| {
-                    if let Some(p) = p {
-                        *st = (*st).max(p);
-                    }
-                },
-            );
-        }
-    }
-    let dispatches = engine.metrics().pool_dispatches - before;
-    (engine.into_states(), dispatches)
 }
 
 fn bench_engine_scaling(c: &mut Criterion) {
@@ -215,58 +155,6 @@ fn bench_engine_scaling(c: &mut Criterion) {
     }
     group.finish();
 
-    // Looped-vs-fused A/B over the same pull schedule: same seed, same round
-    // count, the only variable is whether each round is its own pool
-    // dispatch or a phase of one resident session.
-    let mut program_rows = Vec::new();
-    for &n in &[1_000usize, 4_000, 10_000, 100_000, 1_000_000] {
-        let rounds = rounds_for(n);
-        let mut thread_configs = vec![1];
-        if threads_mt > 1 {
-            thread_configs.push(threads_mt);
-        }
-        for &threads in &thread_configs {
-            let measure = |fused: bool| {
-                let run = |f: bool| {
-                    if f {
-                        measure_pull_program_rounds_per_sec(n, threads, rounds)
-                    } else {
-                        measure_pull_rounds_per_sec(n, threads, rounds)
-                    }
-                };
-                let _warmup = run(fused);
-                let samples: Vec<f64> = (0..5).map(|_| run(fused)).collect();
-                criterion::stats::summary(&samples).expect("five samples")
-            };
-            let looped = measure(false);
-            let fused = measure(true);
-            let (loop_states, dispatches_loop) =
-                run_pull_counting_dispatches(n, threads, rounds, false);
-            let (program_states, dispatches_program) =
-                run_pull_counting_dispatches(n, threads, rounds, true);
-            let identical = loop_states == program_states;
-            assert!(identical, "fusion changed the execution at n = {n}");
-            let speedup = fused.median / looped.median;
-            println!(
-                "engine_scaling program n={n} threads={threads}: {:.2}±{:.2} rounds/s looped \
-                 ({dispatches_loop} dispatches), {:.2}±{:.2} rounds/s fused \
-                 ({dispatches_program} dispatches); speedup {speedup:.2}x, \
-                 deterministic: {identical}",
-                looped.median, looped.std_dev, fused.median, fused.std_dev
-            );
-            program_rows.push(format!(
-                "    {{\"n\": {n}, \"threads\": {threads}, \"rounds\": {rounds}, \
-                 \"host_cores\": {host_cores}, \
-                 \"rounds_per_sec_loop\": {:.3}, \"std_loop\": {:.3}, \
-                 \"rounds_per_sec_program\": {:.3}, \"std_program\": {:.3}, \
-                 \"speedup\": {speedup:.3}, \"identical_states\": {identical}, \
-                 \"dispatches_loop\": {dispatches_loop}, \
-                 \"dispatches_program\": {dispatches_program}}}",
-                looped.median, looped.std_dev, fused.median, fused.std_dev
-            ));
-        }
-    }
-
     // Anchored in the workspace root (or $BENCH_ENGINE_JSON) so every PR's
     // artifact lands in the same place; the section writer preserves the
     // `active_set` rows contributed by the engine_ablation bench.
@@ -274,7 +162,6 @@ fn bench_engine_scaling(c: &mut Criterion) {
     if !scaling_rows.is_empty() {
         bench::report_json::write_section("scaling", &scaling_rows);
     }
-    bench::report_json::write_section("program", &program_rows);
 }
 
 criterion_group!(benches, bench_engine_scaling);

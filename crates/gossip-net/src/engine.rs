@@ -51,7 +51,7 @@
 //!
 //! Rounds are data-parallel maps over nodes, executed over contiguous node
 //! chunks on the engine's persistent [`WorkerPool`] (see [`crate::par`] for
-//! the chunk/fold contract and [`crate::pool`] for the pool's barrier
+//! the chunk/fold contract and [`crate::pool`] for the pool's dispatch
 //! protocol). The pool is created once at engine construction — or adopted
 //! from [`EngineConfig::pool`], so several engines (e.g. an algorithm's
 //! sub-computations, via [`EngineConfig::sub`]) can share one set of workers
@@ -67,7 +67,7 @@
 //! side-effect free.
 //!
 //! The thread count defaults to [`crate::par::num_threads`] for networks of
-//! at least [`Engine::PAR_MIN_NODES`] nodes and to 1 below that (fork/join
+//! at least [`Engine::PAR_MIN_NODES`] nodes and to 1 below that (dispatch
 //! overhead would dominate); [`Engine::set_threads`] overrides the choice
 //! either way.
 //!
@@ -122,7 +122,7 @@
 //! and whatever the caller's own state clones cost for non-`Copy` states.
 //!
 //! The per-slot `clone_from` into `next` is the price of running serve and
-//! apply fused in one parallel pass (closures read other nodes only through
+//! apply together in one parallel pass (closures read other nodes only through
 //! the immutable front buffer while writing their own back-buffer slot); for
 //! `Copy` states it is a parallel memcpy. States holding buffers (doubling,
 //! compactor) pay a real per-round copy — matching what their own `serve`
@@ -883,32 +883,6 @@ impl<S> Engine<S> {
         &self.pool
     }
 
-    /// Runs `f` as one **fused round program**: the worker pool is woken
-    /// once ([`WorkerPool::run_program`]), stays resident for every round
-    /// primitive `f` executes on this engine, and parks again when `f`
-    /// returns — replacing one full dispatch hand-off per round with a
-    /// lightweight spin-then-park phase barrier.
-    ///
-    /// Results are **bit-identical** to running `f` without the fusion (the
-    /// determinism and program test suites pin this); only wall-clock time
-    /// and the scheduling counters change. Fused blocks nest freely (the
-    /// inner one just runs inside the outer session), and arbitrary
-    /// sequential work between rounds — convergence checks, active-set
-    /// unions, metric folds — is fine inside `f`: it simply runs on the
-    /// session thread (executor 0) while the workers wait at the barrier.
-    ///
-    /// Use [`Engine::run_program`](crate::RoundProgram) to build and replay
-    /// a recorded round schedule; use `fused` directly when the schedule is
-    /// data-dependent (convergence loops, expanding active sets).
-    ///
-    /// Note: engines sharing this pool cannot dispatch from *other* threads
-    /// while the session runs (they serialise on the pool's gate, as
-    /// always); same-thread use is fine and fuses into the session.
-    pub fn fused<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let pool = Arc::clone(&self.pool);
-        pool.run_program(|| f(self))
-    }
-
     /// Overrides the pull round's cache-blocked refresh block size (slots per
     /// [`crate::soa::clone_block`] block; clamped to at least 1). Defaults to
     /// `GOSSIP_COPY_BLOCK` / [`crate::soa::copy_block`]. **Results never
@@ -1170,7 +1144,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
                     // 3. serve/apply with the gather prefetched `dist`
                     //    targets ahead, hiding the random-read latency that
                     //    dominates large-n rounds. When the whole state
-                    //    array is cache-resident the gather never misses, so
+                    //    array stays in cache the gather never misses, so
                     //    the batch/prefetch machinery is skipped (measured
                     //    ~10% overhead at n = 4k) — the touch order is the
                     //    same either way, so this gate cannot affect results.

@@ -82,17 +82,17 @@ pub struct Metrics {
     pub bits_delivered: u64,
     /// Largest single message observed, in bits.
     pub max_message_bits: u64,
-    /// Full worker-pool dispatch hand-offs this engine paid (one per
-    /// non-inline parallel map outside a round program, one per fused
-    /// program — see the crate docs' "round programs"). A **scheduling**
-    /// counter: it measures execution cost, not communication, and is
-    /// therefore excluded from `==` (see [`Metrics`]'s `PartialEq`).
+    /// Worker-pool dispatches this engine paid: one per non-inline parallel
+    /// map ([`PoolStats::dispatches`](crate::PoolStats::dispatches)). A
+    /// **scheduling** counter: it measures execution cost, not
+    /// communication, and is therefore excluded from `==` (see
+    /// [`Metrics`]'s `PartialEq`).
     /// With a shared pool (`EngineConfig::pool`), dispatches by other
     /// sharers during this engine's lifetime are included.
     pub pool_dispatches: u64,
-    /// Worker threads woken by those dispatches (plus parked resident
-    /// workers woken by program phases, best-effort). Scheduling-only and
-    /// excluded from `==`, like `pool_dispatches`; inherently
+    /// Parked worker threads woken by those dispatches (a worker still
+    /// spinning when a dispatch arrives needs no wake-up). Scheduling-only
+    /// and excluded from `==`, like `pool_dispatches`; inherently
     /// nondeterministic across hosts and thread counts.
     pub worker_wakeups: u64,
 }
@@ -101,7 +101,7 @@ pub struct Metrics {
 ///
 /// `pool_dispatches` and `worker_wakeups` are deliberately excluded: they
 /// describe how the simulation was scheduled (thread count, pool sharing,
-/// program fusion), not what it computed, and the engine's determinism
+/// spin-vs-park timing), not what it computed, and the engine's determinism
 /// contract — bit-identical results at any thread count, pinned by
 /// `tests/determinism.rs` comparing `(states, metrics)` tuples — must not
 /// depend on them.
@@ -552,9 +552,9 @@ mod tests {
 
     #[test]
     fn scheduling_counters_are_excluded_from_equality() {
-        // Two runs of the same algorithm at different thread counts (or
-        // fused vs looped) produce identical trajectories but different
-        // scheduling counters — they must still compare equal.
+        // Two runs of the same algorithm at different thread counts produce
+        // identical trajectories but different scheduling counters — they
+        // must still compare equal.
         let mut a = Metrics::new();
         a.record_round(RoundKind::Pull, 10);
         let mut b = a;

@@ -16,20 +16,10 @@
 //! round — which dominates the round below ~16k nodes and pushed the
 //! parallel break-even point far to the right. The helpers now dispatch onto
 //! the long-lived workers of a [`WorkerPool`] (owned by the engine,
-//! constructed once, shareable between engines): per map, the hand-off is one
-//! mutex/condvar wake plus an atomic task cursor. Inside a
-//! [`WorkerPool::run_program`] resident session (an [`Engine::fused`] block
-//! or a replayed [`RoundProgram`]), even that is skipped: the pool
-//! recognises the session owner's thread and turns each map into a *phase*
-//! of the already-woken workers — an atomic phase bump on a spin-then-park
-//! barrier instead of a full wake/quiesce hand-off. The helpers themselves
-//! are oblivious to the difference; task semantics are identical either way.
-//! See [`crate::pool`] for the pool's epoch/barrier protocol, the resident
-//! phase barrier, and its lifecycle.
-//!
-//! [`Engine::fused`]: crate::Engine::fused
-//! [`RoundProgram`]: crate::RoundProgram
-//! [`WorkerPool::run_program`]: crate::WorkerPool::run_program
+//! constructed once, shareable between engines): per map, the hand-off is
+//! one atomic phase bump that spinning workers pick up (parked ones are
+//! woken through a condvar) plus an atomic task cursor. See [`crate::pool`]
+//! for the pool's dispatch protocol and its lifecycle.
 //!
 //! ## Determinism argument
 //!

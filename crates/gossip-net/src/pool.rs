@@ -1,70 +1,55 @@
 //! A persistent worker pool for the engine's per-round chunk maps.
 //!
-//! PR 1 executed every round as a fork/join over `std::thread::scope`, which
-//! re-spawns OS threads for every chunk map — two maps per round, so eight
-//! spawns per `pull_round` at four threads. Spawning dominates below ~16k
-//! nodes. [`WorkerPool`] replaces that with **long-lived workers** parked on a
-//! condition variable; dispatching a round costs two mutex/condvar hand-offs
-//! instead of `threads` thread creations.
+//! The paper's algorithms run thousands of short rounds (Thm 1.1's exact
+//! quantile takes ~1,600 per call at n = 32k), each one or two chunk maps, so
+//! the per-map hand-off costs as much attention as the map itself.
+//! [`WorkerPool`] keeps **long-lived workers** that wait on one atomic
+//! *phase word*; dispatching a map costs a store, a few atomic task claims
+//! and a wait for the workers to check back in — no thread spawn, and no
+//! lock while the workers are still spinning.
 //!
-//! ## Barrier protocol
+//! ## Dispatch protocol
 //!
-//! The pool runs one *job* at a time. A job is an epoch-stamped task list:
+//! Every non-inline [`WorkerPool::run`] is one *phase*:
 //!
-//! 1. [`WorkerPool::run`] takes the dispatch gate (so concurrent callers —
-//!    e.g. two engines sharing one pool from two user threads — serialise),
-//!    publishes the job under the state mutex (`epoch += 1`, task cursor
-//!    reset, a *join budget* of `min(workers, tasks − 1)`), and wakes that
-//!    many workers — after releasing the state mutex, so the first woken
-//!    worker does not immediately block on the lock the notifier still
-//!    holds. The budget keeps a small map on a large shared pool from
-//!    waking — or waiting on — workers it has no tasks for; it always drains,
-//!    because a worker is either parked (a wake-up reaches it) or mid-loop
-//!    (it re-checks the join predicate under the mutex before parking).
-//! 2. Each woken worker joins the epoch by decrementing the budget under the
-//!    mutex (a worker woken in excess of the budget, or spuriously, parks
-//!    again without touching the job); every joined worker **and the calling
-//!    thread** then claims task indices from a shared atomic cursor
-//!    (`fetch_add`) until the cursor passes the task count, and runs the job
-//!    closure on each index it won.
-//! 3. Each joined worker then decrements `running`; the caller blocks until
-//!    `running == 0` before returning. This quiescence barrier is what makes
-//!    the lifetime erasure below sound: no worker can touch the job closure
-//!    (which borrows the caller's stack) after `run` returns, and an unwind
-//!    guard enforces the same if the caller's own task panics.
+//! 1. The caller takes the dispatch gate (so concurrent callers — e.g. two
+//!    engines sharing one pool from two user threads — serialise), publishes
+//!    the job (erased closure and task count) in the job mutex, resets the
+//!    task cursor and sets `remaining` to the phase's participant count.
+//! 2. It bumps the packed phase word `phase << 16 | participants`. The
+//!    participants are the worker-id prefix `0..min(workers, tasks − 1)`, so
+//!    a 2-chunk map on an 8-executor pool involves one worker, not seven.
+//!    The caller notifies the condvar only when some worker is registered as
+//!    a sleeper, so back-to-back rounds never touch a lock to wake anyone.
+//! 3. Workers wait on the phase word: they spin (yielding periodically) for
+//!    up to the spin budget, then register as sleepers and park on the
+//!    condvar. A worker that observes a new phase listing its id locks the
+//!    job mutex once to copy the job, claims task indices from the shared
+//!    atomic cursor (`fetch_add`) until it passes the task count, runs the
+//!    job closure on each index it won, and decrements `remaining`. The
+//!    caller is executor 0 and claims tasks the same way.
+//! 4. The caller waits for `remaining == 0` (spin, then yield) before `run`
+//!    returns — also when its own task panics, through an unwind guard. This
+//!    quiescence barrier is what makes the lifetime erasure below sound: no
+//!    worker can touch the job closure (which borrows the caller's stack)
+//!    after `run` returns.
 //!
-//! Worker panics are caught per job, forwarded to the caller after the
+//! Worker panics are caught per phase, forwarded to the caller after the
 //! barrier, and leave the pool usable.
 //!
-//! ## Resident sessions (round programs)
+//! Packing the phase counter and the participant count into **one** atomic
+//! makes a worker's decision to join atomic with observing the phase: a
+//! worker that sat out phase N and lags into N+1 reads N+1's own participant
+//! count, so it can neither run a phase twice nor read a job it is not listed
+//! for. Non-participants never read the job, which is why it may be
+//! rewritten next phase while they are still catching up on the word.
 //!
-//! The epoch/condvar hand-off above costs tens of microseconds per dispatch
-//! on a busy host — negligible for one big map, dominant for a schedule of
-//! hundreds of sub-millisecond rounds (the regime the paper's tournament
-//! schedules live in). [`WorkerPool::run_program`] removes that per-round
-//! constant: it wakes every worker **once**, runs the whole multi-round
-//! program with the workers *resident*, and only then lets them park again.
-//!
-//! Inside a session, a dispatch from the owning thread (any
-//! [`WorkerPool::run`] call it makes — the engine's round primitives need no
-//! changes) becomes a *phase*: the owner publishes the task list and bumps a
-//! phase word (phase counter packed with the phase's participant count, so a
-//! worker's decision to join a phase is atomic with observing it — see
-//! `PHASE_SHIFT`); resident workers synchronise on that word with a
-//! spin-then-park wait (`GOSSIP_SPIN_US` sets the spin budget; spinning
-//! yields the CPU periodically so an oversubscribed host keeps making
-//! progress, and a worker that outlives the budget parks on the condvar and
-//! is woken by the next phase bump). Between phases the owner thread —
-//! executor 0 — performs the program's short sequential work (straggler
-//! drains, buffer swaps, metrics folds, active-set unions) while the workers
-//! wait at the barrier. The per-phase quiescence wait (`remaining == 0`)
-//! plays the same lifetime-erasure-soundness role as `running == 0` does for
-//! plain jobs.
-//!
-//! Phases keep the exact task semantics of plain dispatches — same task
-//! indices, same cursor-claimed assignment, same per-phase barrier — so a
-//! program's results are **bit-identical** to the equivalent loop of single
-//! dispatches (pinned by `tests/program.rs`); only the hand-off cost changes.
+//! The spin budget is derived from the host: 100 µs when the executors fit
+//! the host's cores (`available_parallelism`), `0` — park at once — when
+//! the pool is oversubscribed (a CI container, a 1-core box running an
+//! 8-thread test), because a spinning waiter would then steal the very core
+//! its peer needs to reach the barrier. The budget never affects results,
+//! only the latency/CPU trade.
 //!
 //! ## Determinism argument
 //!
@@ -76,20 +61,26 @@
 //! the engine's bit-identical-at-any-thread-count contract (pinned by
 //! `tests/determinism.rs`).
 //!
-//! ## The one `unsafe`
+//! ## `unsafe`
 //!
 //! The job closure borrows the caller's stack (the chunk and slot tables of a
 //! `for_chunks` call), but worker threads are `'static`, so the pool stores
 //! the closure as a lifetime-erased raw pointer (`TaskPtr`). The quiescence
 //! barrier above (plus its unwind guard) guarantees the pointee outlives every
-//! dereference — per job for plain dispatches, per phase for resident ones.
-//! This is the standard scoped-pool construction (rayon's `scope` does the
-//! same) and is the only unsafe code in the crate; the rest of the crate
-//! stays `deny(unsafe_code)`-clean.
+//! dereference. This is the standard scoped-pool construction (rayon's
+//! `scope` does the same). It takes five `unsafe` sites, all in this file:
+//!
+//! 1. `TaskPtr::erase`, an `unsafe fn`;
+//! 2. the lifetime-changing `transmute` inside it;
+//! 3. `unsafe impl Send for TaskPtr`, so a job can cross to the workers;
+//! 4. the `erase` call in [`WorkerPool::run`];
+//! 5. the closure dereference in a worker's phase.
+//!
+//! The crate's only other `unsafe` is the prefetch hint
+//! [`crate::soa::prefetch_read`]; the rest stays `deny(unsafe_code)`-clean.
 
 #![allow(unsafe_code)]
 
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -106,35 +97,10 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A per-thread token distinguishing live threads: the address of a
-/// thread-local, which is unique among concurrently running threads and never
-/// zero. Used to recognise the resident-session owner in
-/// [`WorkerPool::run`]'s fast path without taking any lock.
-fn thread_token() -> usize {
-    thread_local! {
-        static TOKEN: u8 = const { 0 };
-    }
-    TOKEN.with(|t| t as *const u8 as usize)
-}
-
-/// Default spin budget of the resident phase barrier, in microseconds,
-/// read from `GOSSIP_SPIN_US` (clamped to `[0, 100_000]`; `0` parks
-/// immediately — the pure condvar fallback the CI matrix exercises).
-///
-/// Without an explicit setting the budget is 100 µs, **provided** `threads`
-/// executors actually fit the host's cores: an oversubscribed pool (more
-/// executors than cores — a CI container, a 1-core box running the 8-thread
-/// matrix) gets `0`, because a spinning waiter then steals the very core its
-/// peer needs to reach the barrier, turning each phase hand-off into a full
-/// scheduler quantum. The env var always wins over the heuristic, so the
-/// spin paths stay testable anywhere.
-pub fn spin_us_from_env(threads: usize) -> u64 {
-    if let Some(v) = std::env::var("GOSSIP_SPIN_US")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        return v.min(100_000);
-    }
+/// The spin budget for a pool of `threads` executors, in microseconds: 100
+/// when they fit the host's cores, `0` (park immediately) when they do not
+/// (see the module docs).
+fn host_spin_us(threads: usize) -> u64 {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     if threads > cores {
         0
@@ -144,9 +110,9 @@ pub fn spin_us_from_env(threads: usize) -> u64 {
 }
 
 /// Lifetime-erased pointer to a caller-owned `dyn Fn(usize) + Sync` job
-/// closure. Safety: only dereferenced by executors between job publication
-/// and the quiescence barrier of the same [`WorkerPool::run`] call (or
-/// resident phase), during which the pointee is borrowed by the caller frame.
+/// closure. Safety: only dereferenced by participants between job
+/// publication and the quiescence barrier of the same [`WorkerPool::run`]
+/// call, during which the pointee is borrowed by the caller frame.
 #[derive(Clone, Copy)]
 struct TaskPtr(*const (dyn Fn(usize) + Sync + 'static));
 
@@ -157,7 +123,7 @@ impl TaskPtr {
     ///
     /// The caller must not let any dereference of the returned pointer
     /// outlive `'a` — in the pool, the quiescence barrier of the `run` call
-    /// (or resident phase) that published the job enforces this.
+    /// that published the job enforces this.
     unsafe fn erase<'a>(task: &'a (dyn Fn(usize) + Sync + 'a)) -> TaskPtr {
         let short: *const (dyn Fn(usize) + Sync + 'a) = task;
         // SAFETY: identical layout; only the lifetime bound changes.
@@ -183,145 +149,72 @@ struct BatchJob {
     tasks: usize,
 }
 
-/// The job currently published to the workers.
-#[derive(Clone, Copy)]
-enum Job {
-    /// A one-shot task batch (a plain [`WorkerPool::run`]).
-    Batch(BatchJob),
-    /// A resident session: joining workers enter the phase loop and stay
-    /// there until the session ends.
-    Resident,
-}
-
-/// State shared between the caller and the workers, guarded by one mutex.
-struct PoolState {
-    /// Increments once per published job; workers use it to tell a fresh job
-    /// from the one they just finished.
-    epoch: u64,
-    /// The published job, present from publication until the caller's
-    /// quiescence barrier clears it.
-    job: Option<Job>,
-    /// Workers still allowed to join the current epoch. Initialised to
-    /// `min(workers, tasks − 1)` so that a small map on a large shared pool
-    /// does not wake — or wait for — more workers than it has tasks for;
-    /// a worker may only touch the job after decrementing this under the
-    /// mutex.
-    join_budget: usize,
-    /// Joined workers that have not finished the current epoch; the caller
-    /// returns from [`WorkerPool::run`] only once this reaches zero (at which
-    /// point the whole join budget has been consumed and retired).
-    running: usize,
-    /// Set when any executor's task panicked during the current job.
-    panicked: bool,
-    /// Tells the workers to exit; set once, by [`WorkerPool`]'s `Drop`.
-    shutdown: bool,
-}
-
-/// Bit split of [`ResidentState::phase`]: phase counter in the high bits,
-/// that phase's participant count in the low [`PHASE_SHIFT`] bits (a pool has
-/// at most 255 workers, so 16 bits are ample; 48 phase bits outlast any
-/// session). Packing them into **one** atomic is what makes a worker's
-/// participation decision atomic with its phase observation: a lagging worker
-/// that sat out phase N and only wakes after phase N+1 is published reads the
-/// *pair* (N+1, participants(N+1)) — it can never combine phase N's wake-up
-/// with phase N+1's participant count, which would let it execute a phase
-/// twice (and underflow `remaining`, breaking the quiescence barrier the
-/// lifetime-erasure safety argument rests on).
+/// Bit split of [`Shared::phase`]: phase counter in the high bits, that
+/// phase's participant count in the low [`PHASE_SHIFT`] bits (a pool has at
+/// most 255 workers, so 16 bits are ample; 48 phase bits outlast any pool).
+/// See the module docs for why the two travel in one word.
 const PHASE_SHIFT: u32 = 16;
 
-/// Phase-counter half of a packed [`ResidentState::phase`] word.
+/// Phase-counter half of a packed [`Shared::phase`] word.
 fn phase_of(packed: u64) -> u64 {
     packed >> PHASE_SHIFT
 }
 
-/// Participant-count half of a packed [`ResidentState::phase`] word.
+/// Participant-count half of a packed [`Shared::phase`] word.
 fn participants_of(packed: u64) -> usize {
     (packed & ((1 << PHASE_SHIFT) - 1)) as usize
 }
 
-/// The lock-free side of a resident session (see the module docs): the phase
-/// word the workers synchronise on and the cell the owner publishes each
-/// phase's job through.
-struct ResidentState {
-    /// Thread token of the session owner ([`thread_token`]); `0` = no
-    /// session. Read by [`WorkerPool::run`]'s fast path to route the owner's
-    /// dispatches through the phase barrier.
-    owner: AtomicUsize,
-    /// Whether the session is live; a resident worker observing a phase bump
-    /// with `active == false` leaves the phase loop.
-    active: AtomicBool,
+/// State shared between the caller and the workers.
+struct Shared {
     /// Packed phase word (see [`PHASE_SHIFT`]): publication counter in the
     /// high bits, the phase's participant count (the id-prefix
-    /// `0..participants` of the workers) in the low bits. Reset to 0 at
-    /// session start; written only by the owner, whose `SeqCst` store is the
-    /// release point of the phase's job. Non-participants of a phase never
-    /// read the job cell — that is what makes rewriting it next phase sound
-    /// while they are still catching up on this word.
+    /// `0..participants` of the workers) in the low bits. Written only under
+    /// the dispatch gate; its `SeqCst` store is the release point of the
+    /// phase's job.
     phase: AtomicU64,
-    /// The current phase's job. Written by the owner strictly before the
-    /// `phase` store and read by participating workers strictly after
-    /// observing that store, so the release/acquire pair on `phase` orders
-    /// every access (no lock needed).
-    job: UnsafeCell<Option<BatchJob>>,
-    /// Participants that have not yet finished the current phase; the owner
-    /// waits for 0 before returning from the dispatch (the per-phase
-    /// quiescence barrier of the lifetime-erasure argument).
-    remaining: AtomicUsize,
-    /// Resident workers currently parked on `start` (their spin budget ran
-    /// out). The owner notifies the condvar after a bump only when this is
-    /// non-zero, so an actively spinning session never touches the lock.
-    sleepers: AtomicUsize,
-    /// Any participant's task panicked during the current phase; drained by
-    /// the owner after the phase quiesces.
-    panicked: AtomicBool,
-}
-
-// SAFETY: the `job` cell is the only non-atomic field. The owner writes it
-// before the `SeqCst`/release `phase` store; a worker reads it only when the
-// packed word it acquire-loaded names that phase *and* lists the worker as a
-// participant (phase and participant count travel in one word, so the pair
-// is always consistent), and the owner rewrites the cell only after
-// `remaining` reached 0 (release decrements, acquire read) — so every access
-// pair is ordered by a happens-before edge and no two accesses race.
-unsafe impl Sync for ResidentState {}
-
-struct Shared {
-    state: Mutex<PoolState>,
-    /// Workers wait here for a new epoch (or shutdown); resident workers
-    /// whose spin budget ran out also park here between phases.
-    start: Condvar,
-    /// The caller waits here for `running == 0`.
-    done: Condvar,
-    /// Next unclaimed task index of the current job or phase.
+    /// The current phase's job, written by the caller before the `phase`
+    /// store. A participant locks it once per phase to copy the job out.
+    /// It keeps the last job (a dangling pointer) after `run` returns;
+    /// nothing reads it until the next phase republishes it.
+    job: Mutex<Option<BatchJob>>,
+    /// Next unclaimed task index of the current phase.
     cursor: AtomicUsize,
-    /// Resident-session state (see the module docs).
-    resident: ResidentState,
-    /// Spin budget of the resident phase barrier before a worker parks (and
-    /// of the owner's phase-quiescence wait before it falls back to pure
-    /// yielding). Never affects results, only the latency/CPU trade.
+    /// Participants that have not yet finished the current phase; the
+    /// caller waits for 0 before returning (the quiescence barrier).
+    remaining: AtomicUsize,
+    /// Any participant's task panicked during the current phase; drained by
+    /// the caller after the phase quiesces.
+    panicked: AtomicBool,
+    /// Workers currently parked on `wake` (their spin budget ran out). The
+    /// caller notifies only when this is non-zero.
+    sleepers: AtomicUsize,
+    /// Parking lot: guards the shutdown flag, which [`WorkerPool`]'s `Drop`
+    /// sets once.
+    park: Mutex<bool>,
+    /// Parked workers wait here for a phase bump or shutdown.
+    wake: Condvar,
+    /// Spin budget of a worker's phase wait before it parks (and of the
+    /// caller's quiescence wait before it falls back to pure yielding).
     spin: Duration,
-    /// Cumulative full dispatches: epoch-published jobs and resident-session
-    /// starts — each one a complete wake/quiesce hand-off. Resident *phases*
-    /// deliberately do not count: not paying this hand-off per round is the
-    /// point of a session.
+    /// Cumulative dispatches: one per non-inline [`WorkerPool::run`].
     dispatches: AtomicU64,
-    /// Cumulative worker wake-ups: condvar notifications issued by job and
-    /// session publication, plus resident sleepers woken by a phase bump.
+    /// Cumulative parked workers woken by phase bumps.
     wakeups: AtomicU64,
 }
 
 /// Scheduling counters of a [`WorkerPool`] — see [`WorkerPool::stats`].
 ///
 /// These measure dispatch overhead, not communication: they are wall-clock
-/// observability (how many full hand-offs and wake-ups the pool paid), not
-/// part of any algorithm's trajectory.
+/// observability (how many hand-offs and wake-ups the pool paid), not part
+/// of any algorithm's trajectory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Full dispatch hand-offs: one per non-inline [`WorkerPool::run`]
-    /// outside a session, plus one per [`WorkerPool::run_program`] session.
+    /// Dispatches: one per non-inline [`WorkerPool::run`] (inline runs —
+    /// one task, or a 1-thread pool — count none).
     pub dispatches: u64,
-    /// Workers woken: `workers` per full dispatch, plus parked resident
-    /// workers woken by phase bumps (best-effort count).
+    /// Parked workers woken by dispatches. A worker still spinning when the
+    /// phase is published picks it up without a wake-up and is not counted.
     pub wakeups: u64,
 }
 
@@ -344,47 +237,31 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Creates a pool with `threads` executors: the calling thread plus
-    /// `threads - 1` spawned workers (clamped to `[1, 256]`), with the
-    /// resident-barrier spin budget taken from `GOSSIP_SPIN_US`
-    /// ([`spin_us_from_env`]: 100 µs when the executors fit the host's
-    /// cores, `0` when oversubscribed).
+    /// `threads - 1` spawned workers (clamped to `[1, 256]`), with the spin
+    /// budget derived from the host (see the module docs).
     ///
     /// `WorkerPool::new(1)` spawns nothing and makes [`run`](Self::run)
     /// purely inline — the engine's configuration for small networks.
     /// If the OS refuses a thread, the pool degrades to the workers it got
     /// (results are unaffected; only wall-clock time changes).
     pub fn new(threads: usize) -> WorkerPool {
-        WorkerPool::with_spin(threads, spin_us_from_env(threads))
+        WorkerPool::with_spin(threads, host_spin_us(threads))
     }
 
-    /// [`WorkerPool::new`] with an explicit resident-barrier spin budget in
-    /// microseconds (`0` = park immediately, the pure condvar fallback).
-    /// The budget never affects results, only the latency/CPU trade of
-    /// [`WorkerPool::run_program`] phases.
-    pub fn with_spin(threads: usize, spin_us: u64) -> WorkerPool {
+    /// [`WorkerPool::new`] with an explicit spin budget in microseconds, so
+    /// the unit tests can force both wait paths on any host.
+    fn with_spin(threads: usize, spin_us: u64) -> WorkerPool {
         let threads = threads.clamp(1, 256);
         let shared = std::sync::Arc::new(Shared {
-            state: Mutex::new(PoolState {
-                epoch: 0,
-                job: None,
-                join_budget: 0,
-                running: 0,
-                panicked: false,
-                shutdown: false,
-            }),
-            start: Condvar::new(),
-            done: Condvar::new(),
+            phase: AtomicU64::new(0),
+            job: Mutex::new(None),
             cursor: AtomicUsize::new(0),
-            resident: ResidentState {
-                owner: AtomicUsize::new(0),
-                active: AtomicBool::new(false),
-                phase: AtomicU64::new(0),
-                job: UnsafeCell::new(None),
-                remaining: AtomicUsize::new(0),
-                sleepers: AtomicUsize::new(0),
-                panicked: AtomicBool::new(false),
-            },
-            spin: Duration::from_micros(spin_us.min(100_000)),
+            remaining: AtomicUsize::new(0),
+            panicked: AtomicBool::new(false),
+            sleepers: AtomicUsize::new(0),
+            park: Mutex::new(false),
+            wake: Condvar::new(),
+            spin: Duration::from_micros(spin_us),
             dispatches: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
         });
@@ -410,10 +287,10 @@ impl WorkerPool {
     }
 
     /// Cumulative scheduling counters (monotone over the pool's lifetime):
-    /// how many full dispatch hand-offs the pool performed and how many
-    /// worker wake-ups it issued. With a shared pool the counts cover every
-    /// sharer. [`Engine::metrics`](crate::Engine::metrics) surfaces the
-    /// deltas as `pool_dispatches` / `worker_wakeups`.
+    /// how many dispatches the pool performed and how many parked workers
+    /// they woke. With a shared pool the counts cover every sharer.
+    /// [`Engine::metrics`](crate::Engine::metrics) surfaces the deltas as
+    /// `pool_dispatches` / `worker_wakeups`.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             dispatches: self.shared.dispatches.load(Ordering::Relaxed),
@@ -432,9 +309,7 @@ impl WorkerPool {
     ///
     /// Calls from different threads serialise on an internal gate. Do not
     /// call `run` from inside a task closure — the nested call would deadlock
-    /// on that gate. From inside a [`WorkerPool::run_program`] session (on
-    /// the session's thread), `run` dispatches as a resident phase instead of
-    /// a full hand-off — same results, a fraction of the cost.
+    /// on that gate.
     ///
     /// # Panics
     ///
@@ -451,260 +326,64 @@ impl WorkerPool {
             }
             return;
         }
-        if self.shared.resident.owner.load(Ordering::Relaxed) == thread_token() {
-            // This thread owns the live resident session: dispatch as a
-            // phase. (Only the owner thread can ever observe its own token
-            // here, so the relaxed load is enough.)
-            return self.dispatch_resident(tasks, task);
-        }
         let _dispatch = lock(&self.gate);
+        let shared = &*self.shared;
 
         // SAFETY (lifetime erasure): the quiescence barrier below, also
         // enforced on unwind, keeps every dereference within this call,
         // while `task` is borrowed.
         let erased = unsafe { TaskPtr::erase(task) };
-        // Never involve more workers than there are tasks beyond the
-        // caller's own: a 2-chunk map on an 8-executor shared pool wakes and
-        // waits for 1 worker, not 7. (Any worker woken in excess of the
-        // budget — or spuriously — re-checks the join predicate under the
-        // mutex and goes back to sleep without touching the job.)
-        let workers = self.handles.len().min(tasks - 1);
-        {
-            let mut st = lock(&self.shared.state);
-            debug_assert!(st.job.is_none(), "pool gate failed to serialise jobs");
-            st.epoch += 1;
-            st.join_budget = workers;
-            st.running = workers;
-            st.panicked = false;
-            self.shared.cursor.store(0, Ordering::Relaxed);
-            st.job = Some(Job::Batch(BatchJob {
-                task: erased,
-                tasks,
-            }));
-        }
-        // Wake the workers *after* releasing the state mutex: a worker woken
-        // here immediately re-acquires that mutex to join the epoch, so
-        // notifying from inside the critical section would hand it a lock
-        // the notifier still holds. (The job is already published; a worker
-        // that races ahead via a spurious wake finds it without the notify.)
-        for _ in 0..workers {
-            self.shared.start.notify_one();
-        }
-        self.shared.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .wakeups
-            .fetch_add(workers as u64, Ordering::Relaxed);
-
-        /// Blocks until every worker finished the current job, then retires
-        /// it. Running this in `Drop` keeps the barrier in place even when
-        /// the caller's own task panics below.
-        struct Quiesce<'p>(&'p Shared);
-        impl Drop for Quiesce<'_> {
-            fn drop(&mut self) {
-                let mut st = lock(&self.0.state);
-                while st.running > 0 {
-                    st = self
-                        .0
-                        .done
-                        .wait(st)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                }
-                st.job = None;
-            }
-        }
-        let barrier = Quiesce(&self.shared);
-
-        // The caller is executor 0: claim tasks like any worker.
-        loop {
-            let i = self.shared.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= tasks {
-                break;
-            }
-            task(i);
-        }
-        drop(barrier);
-
-        if std::mem::replace(&mut lock(&self.shared.state).panicked, false) {
-            panic!("gossip worker thread panicked");
-        }
-    }
-
-    /// Runs `program` as a **resident session**: every worker is woken once,
-    /// stays at the phase barrier for the whole call, and parks again only
-    /// when `program` returns. Any [`WorkerPool::run`] this thread makes
-    /// inside `program` — directly or through engine round primitives —
-    /// executes as a phase of the session instead of a full hand-off.
-    ///
-    /// Results are bit-identical to calling `program` without the session
-    /// (phases keep the exact task semantics of plain dispatches); only the
-    /// per-dispatch cost changes. Nested `run_program` calls on the same
-    /// pool from the session thread are no-ops (the program just runs inside
-    /// the existing session), so fused helpers compose freely.
-    ///
-    /// Calls from different threads serialise on the same gate as
-    /// [`WorkerPool::run`]: a second thread blocks until the session ends.
-    ///
-    /// # Panics
-    ///
-    /// Worker panics inside a phase are forwarded by that phase's dispatch;
-    /// a panic unwinding out of `program` ends the session cleanly (workers
-    /// park, the pool remains usable) and continues unwinding.
-    pub fn run_program<R>(&self, program: impl FnOnce() -> R) -> R {
-        if self.handles.is_empty() {
-            // No workers: every dispatch is inline anyway, there is nothing
-            // to keep resident.
-            return program();
-        }
-        let token = thread_token();
-        if self.shared.resident.owner.load(Ordering::Relaxed) == token {
-            // Re-entrant: already inside this pool's session on this thread.
-            return program();
-        }
-        let _dispatch = lock(&self.gate);
-        let workers = self.handles.len();
-        {
-            let mut st = lock(&self.shared.state);
-            debug_assert!(st.job.is_none(), "pool gate failed to serialise jobs");
-            st.epoch += 1;
-            st.join_budget = workers;
-            st.running = workers;
-            st.panicked = false;
-            st.job = Some(Job::Resident);
-            let r = &self.shared.resident;
-            r.phase.store(0, Ordering::Relaxed);
-            r.remaining.store(0, Ordering::Relaxed);
-            r.panicked.store(false, Ordering::Relaxed);
-            r.active.store(true, Ordering::SeqCst);
-            r.owner.store(token, Ordering::Relaxed);
-        }
-        // One wake-up for the whole program (outside the critical section,
-        // as in `run`) — this is the dispatch cost the session amortises
-        // over every round inside it.
-        for _ in 0..workers {
-            self.shared.start.notify_one();
-        }
-        self.shared.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .wakeups
-            .fetch_add(workers as u64, Ordering::Relaxed);
-
-        /// Ends the session (in `Drop`, so a panic unwinding out of the
-        /// program closes it too): revokes the owner token, publishes the
-        /// end-of-session phase bump, and waits for every resident worker to
-        /// leave the phase loop and retire the epoch.
-        struct EndSession<'p>(&'p Shared);
-        impl Drop for EndSession<'_> {
-            fn drop(&mut self) {
-                let r = &self.0.resident;
-                r.owner.store(0, Ordering::Relaxed);
-                r.active.store(false, Ordering::SeqCst);
-                // Bump only the phase half of the packed word; the stale
-                // participant bits are harmless because workers check
-                // `active` (ordered before this bump) before consulting
-                // them.
-                r.phase.fetch_add(1 << PHASE_SHIFT, Ordering::SeqCst);
-                if r.sleepers.load(Ordering::SeqCst) > 0 {
-                    drop(lock(&self.0.state));
-                    self.0.start.notify_all();
-                }
-                let mut st = lock(&self.0.state);
-                while st.running > 0 {
-                    st = self
-                        .0
-                        .done
-                        .wait(st)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                }
-                st.job = None;
-                r.panicked.store(false, Ordering::Relaxed);
-                // SAFETY: all workers left the phase loop (`running == 0`),
-                // so nothing concurrently reads the cell.
-                unsafe {
-                    *r.job.get() = None;
-                }
-            }
-        }
-        let session = EndSession(&self.shared);
-        let result = program();
-        drop(session);
-        result
-    }
-
-    /// Dispatches one phase of the live resident session (see the module
-    /// docs): publish the job, bump the phase counter, claim tasks alongside
-    /// the workers, and wait for the phase to quiesce.
-    fn dispatch_resident(&self, tasks: usize, task: &(dyn Fn(usize) + Sync)) {
-        let shared = &self.shared;
-        let r = &shared.resident;
-        // SAFETY (lifetime erasure): the phase-quiescence barrier below,
-        // also enforced on unwind, keeps every dereference within this call,
-        // while `task` is borrowed.
-        let erased = unsafe { TaskPtr::erase(task) };
-        // Same involvement rule as `run`: a 2-task phase on an 8-worker pool
-        // involves 1 worker. Non-participants skip the phase without reading
-        // the job cell (which is what makes rewriting it next phase sound
-        // even while they still catch up on the phase word).
         let participants = self.handles.len().min(tasks - 1);
-        // SAFETY: a worker reads the cell only after its acquire load of the
-        // packed phase word returns this phase *with* a participant count
-        // covering its id — the decision travels in one word with the phase,
-        // so a lagging worker can never act on a stale pairing. Every
-        // participant of the previous phase decremented `remaining` (and the
-        // owner saw 0) before this call, so no reader of the old value
-        // remains.
-        unsafe {
-            *r.job.get() = Some(BatchJob {
-                task: erased,
-                tasks,
-            });
-        }
-        r.remaining.store(participants, Ordering::Relaxed);
+        *lock(&shared.job) = Some(BatchJob {
+            task: erased,
+            tasks,
+        });
+        shared.remaining.store(participants, Ordering::Relaxed);
         shared.cursor.store(0, Ordering::Relaxed);
         // Publish phase and participant count as one packed word. Only the
-        // owner writes `phase`, so load-then-store does not race.
-        let next = phase_of(r.phase.load(Ordering::Relaxed)) + 1;
-        r.phase
+        // gate holder writes `phase`, so load-then-store does not race.
+        let next = phase_of(shared.phase.load(Ordering::Relaxed)) + 1;
+        shared
+            .phase
             .store(next << PHASE_SHIFT | participants as u64, Ordering::SeqCst);
+        shared.dispatches.fetch_add(1, Ordering::Relaxed);
         // Wake parked workers, if any. The `SeqCst` store above and the
         // `SeqCst` sleeper registration in `wait_for_phase` order each other:
         // either the worker's re-check sees the new phase, or this load sees
         // the sleeper and notifies. The empty lock/unlock serialises with a
         // worker that checked the phase under the mutex but has not yet
         // entered `wait`.
-        let sleepers = r.sleepers.load(Ordering::SeqCst);
+        let sleepers = shared.sleepers.load(Ordering::SeqCst);
         if sleepers > 0 {
-            drop(lock(&shared.state));
-            shared.start.notify_all();
+            drop(lock(&shared.park));
+            shared.wake.notify_all();
             shared.wakeups.fetch_add(sleepers as u64, Ordering::Relaxed);
         }
 
-        /// Waits until every participant retired the phase — the per-phase
-        /// quiescence barrier, enforced on unwind like `run`'s.
-        struct PhaseQuiesce<'p>(&'p Shared);
-        impl Drop for PhaseQuiesce<'_> {
+        /// Waits until every participant retired the phase — the quiescence
+        /// barrier. Running this in `Drop` keeps it in place even when the
+        /// caller's own task panics below.
+        struct Quiesce<'p>(&'p Shared);
+        impl Drop for Quiesce<'_> {
             fn drop(&mut self) {
-                let r = &self.0.resident;
                 let deadline = Instant::now() + self.0.spin;
-                loop {
-                    if r.remaining.load(Ordering::Acquire) == 0 {
-                        return;
-                    }
+                while self.0.remaining.load(Ordering::Acquire) != 0 {
                     if Instant::now() < deadline {
                         for _ in 0..64 {
                             std::hint::spin_loop();
                         }
                     } else {
-                        // Owner never parks between phases (workers finish
-                        // in bounded time); yielding keeps an oversubscribed
+                        // The caller never parks (participants finish in
+                        // bounded time); yielding keeps an oversubscribed
                         // host making progress.
                         std::thread::yield_now();
                     }
                 }
             }
         }
-        let barrier = PhaseQuiesce(shared);
+        let barrier = Quiesce(shared);
 
-        // The owner is executor 0: claim tasks like any participant.
+        // The caller is executor 0: claim tasks like any participant.
         loop {
             let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
             if i >= tasks {
@@ -714,9 +393,18 @@ impl WorkerPool {
         }
         drop(barrier);
 
-        if r.panicked.swap(false, Ordering::Relaxed) {
+        if shared.panicked.swap(false, Ordering::Relaxed) {
             panic!("gossip worker thread panicked");
         }
+    }
+
+    /// Runs `program` and returns its result: a plain call. Every
+    /// [`run`](Self::run) is already a cheap phase, so a multi-round
+    /// schedule needs no session around it. Kept so that callers written
+    /// against the earlier session API (which woke the workers once per
+    /// schedule) still compile.
+    pub fn run_program<R>(&self, program: impl FnOnce() -> R) -> R {
+        program()
     }
 }
 
@@ -730,97 +418,67 @@ impl fmt::Debug for WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        {
-            let mut st = lock(&self.shared.state);
-            st.shutdown = true;
-            self.shared.start.notify_all();
-        }
+        // `&mut self`: no `run` is in flight, so every worker is waiting
+        // for a phase; spinning ones park once their budget runs out and
+        // then see the flag.
+        *lock(&self.shared.park) = true;
+        self.shared.wake.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// The worker side of the barrier protocol (see the module docs). `id` is the
-/// worker's stable index (`0..workers`), used for resident-phase
-/// participation.
+/// The worker side of the dispatch protocol (see the module docs). `id` is
+/// the worker's stable index (`0..workers`), compared against each phase's
+/// participant count. `seen` tracks the phase numbers this worker has
+/// handled. A worker that sat a phase out may lag and observe a *later*
+/// phase next — safe, because the caller cannot retire a phase (and publish
+/// the next) until every listed participant checked in, so a phase this
+/// worker participates in can never be skipped over, and the packed word
+/// always pairs the observed phase with *its own* participant count.
 fn worker_loop(shared: &Shared, id: usize) {
-    let mut seen_epoch = 0u64;
-    loop {
-        let job = {
-            let mut st = lock(&shared.state);
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                match st.job {
-                    // Join the epoch only while its budget lasts; a worker
-                    // woken in excess of the budget (or spuriously) sleeps
-                    // again without ever touching the job.
-                    Some(job) if st.epoch != seen_epoch && st.join_budget > 0 => {
-                        seen_epoch = st.epoch;
-                        st.join_budget -= 1;
-                        break job;
-                    }
-                    _ => {
-                        st = shared
-                            .start
-                            .wait(st)
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    }
-                }
-            }
-        };
-        let failed = match job {
-            Job::Batch(job) => {
-                // SAFETY: the job was published by a `run` call that cannot
-                // return (or unwind) before this worker decrements `running`
-                // below, so the pointee — the caller's closure — is alive for
-                // the whole dereference.
-                let task: &(dyn Fn(usize) + Sync) = unsafe { &*job.task.0 };
-                catch_unwind(AssertUnwindSafe(|| loop {
-                    let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= job.tasks {
-                        break;
-                    }
-                    task(i);
-                }))
-                .is_err()
-            }
-            Job::Resident => {
-                // Stay at the phase barrier until the session ends. Phase
-                // panics are tracked per phase (`resident.panicked`) and
-                // forwarded by the owner's dispatch, not via `st.panicked`.
-                resident_phase_loop(shared, id);
-                false
-            }
-        };
-        let mut st = lock(&shared.state);
-        if failed {
-            st.panicked = true;
+    let mut seen = 0u64;
+    while let Some(packed) = wait_for_phase(shared, seen) {
+        seen = phase_of(packed);
+        if id >= participants_of(packed) {
+            // Sat out: this phase has fewer tasks than the pool has workers.
+            // Never touches `job` or `remaining`, so the caller does not
+            // wait for this worker — which is why it may lag.
+            continue;
         }
-        st.running -= 1;
-        if st.running == 0 {
-            shared.done.notify_all();
+        let job = lock(&shared.job).expect("phase published without a job");
+        // SAFETY: the caller published this job before the phase store this
+        // worker observed, and cannot return from `run` (or unwind) before
+        // this participant decrements `remaining` below, so the pointee —
+        // the caller's closure — is alive for the whole dereference.
+        let task: &(dyn Fn(usize) + Sync) = unsafe { &*job.task.0 };
+        let outcome = catch_unwind(AssertUnwindSafe(|| loop {
+            let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= job.tasks {
+                break;
+            }
+            task(i);
+        }));
+        if outcome.is_err() {
+            shared.panicked.store(true, Ordering::Relaxed);
         }
+        shared.remaining.fetch_sub(1, Ordering::Release);
     }
 }
 
-/// Waits (spin, then yield, then park on `start`) until the resident phase
-/// counter moves past `seen` (a phase number, not a packed word), and returns
-/// the new **packed** phase word — phase and participant count observed as
-/// one consistent pair. Returns `None` if the pool shuts down while the
-/// counter is unchanged, so the caller leaves the phase loop instead of
-/// spinning on a dead session.
+/// Waits (spin, then yield, then park on `wake`) until the phase counter
+/// moves past `seen` (a phase number, not a packed word), and returns the
+/// new **packed** phase word — phase and participant count observed as one
+/// consistent pair. Returns `None` once the pool shuts down.
 fn wait_for_phase(shared: &Shared, seen: u64) -> Option<u64> {
-    let r = &shared.resident;
     // Spin-then-yield within the budget. The periodic yield matters on an
-    // oversubscribed host: the owner (or another worker) needs the core to
+    // oversubscribed host: the caller (or another worker) needs the core to
     // make the progress this worker is waiting for.
     if !shared.spin.is_zero() {
         let deadline = Instant::now() + shared.spin;
         loop {
-            let p = r.phase.load(Ordering::Acquire);
+            let p = shared.phase.load(Ordering::Acquire);
             if phase_of(p) != seen {
                 return Some(p);
             }
@@ -833,105 +491,69 @@ fn wait_for_phase(shared: &Shared, seen: u64) -> Option<u64> {
             std::thread::yield_now();
         }
     }
-    // Park: register as a sleeper, re-check, then wait on `start`. The
-    // `SeqCst` registration pairs with the owner's `SeqCst` store-then-read:
-    // either the re-check sees the new phase, or the owner sees the sleeper
-    // and notifies (serialised by its empty lock/unlock of `state`, so the
+    // Park: register as a sleeper, re-check, then wait on `wake`. The
+    // `SeqCst` registration pairs with the caller's `SeqCst` store-then-read:
+    // either the re-check sees the new phase, or the caller sees the sleeper
+    // and notifies (serialised by its empty lock/unlock of `park`, so the
     // notify cannot fall between the predicate check below and the wait).
     loop {
-        let p = r.phase.load(Ordering::SeqCst);
+        let p = shared.phase.load(Ordering::SeqCst);
         if phase_of(p) != seen {
             return Some(p);
         }
-        r.sleepers.fetch_add(1, Ordering::SeqCst);
-        if phase_of(r.phase.load(Ordering::SeqCst)) != seen {
-            r.sleepers.fetch_sub(1, Ordering::SeqCst);
+        shared.sleepers.fetch_add(1, Ordering::SeqCst);
+        if phase_of(shared.phase.load(Ordering::SeqCst)) != seen {
+            shared.sleepers.fetch_sub(1, Ordering::SeqCst);
             continue;
         }
         let shutdown = {
-            let mut st = lock(&shared.state);
-            while phase_of(r.phase.load(Ordering::SeqCst)) == seen && !st.shutdown {
-                st = shared
-                    .start
-                    .wait(st)
+            let mut shutdown = lock(&shared.park);
+            while phase_of(shared.phase.load(Ordering::SeqCst)) == seen && !*shutdown {
+                shutdown = shared
+                    .wake
+                    .wait(shutdown)
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
-            st.shutdown
+            *shutdown
         };
-        r.sleepers.fetch_sub(1, Ordering::SeqCst);
-        if shutdown && phase_of(r.phase.load(Ordering::SeqCst)) == seen {
-            // Shutdown with no phase movement: the session can never
-            // progress — exit rather than re-registering forever.
+        shared.sleepers.fetch_sub(1, Ordering::SeqCst);
+        if shutdown {
             return None;
         }
-    }
-}
-
-/// The resident worker's phase loop: wait for each phase bump, run the
-/// phase's tasks if participating, retire the phase; leave when the session
-/// ends. Sessions start with `phase == 0`, so `seen` tracks the phase numbers
-/// this worker has handled. A worker that sat a phase out may lag and observe
-/// a *later* phase next — safe, because the owner cannot retire a phase (and
-/// publish the next) until every listed participant checked in, so a phase
-/// this worker participates in can never be skipped over, and the packed word
-/// always pairs the observed phase with *its own* participant count.
-fn resident_phase_loop(shared: &Shared, id: usize) {
-    let r = &shared.resident;
-    let mut seen = 0u64;
-    loop {
-        let Some(packed) = wait_for_phase(shared, seen) else {
-            // Pool shutdown mid-session (not reachable through the engine's
-            // lifetimes, but the loop must not outlive the pool if that ever
-            // changes).
-            return;
-        };
-        seen = phase_of(packed);
-        if !r.active.load(Ordering::SeqCst) {
-            return;
-        }
-        if id >= participants_of(packed) {
-            // Sat out: this phase has fewer tasks than the pool has workers.
-            // Never touches `job` or `remaining`, so the owner does not wait
-            // for this worker — which is why it may lag into a later phase.
-            continue;
-        }
-        // SAFETY: the acquire-ordered observation of the packed word in
-        // `wait_for_phase` happens-after the owner's job publication for
-        // exactly this phase (participation was decided from the same word,
-        // so this cannot be a stale pairing), and the owner cannot rewrite
-        // the cell (or return from its dispatch) before this participant
-        // decrements `remaining` below.
-        let job = unsafe { (*r.job.get()).expect("resident phase published without a job") };
-        let task: &(dyn Fn(usize) + Sync) = unsafe { &*job.task.0 };
-        let outcome = catch_unwind(AssertUnwindSafe(|| loop {
-            let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= job.tasks {
-                break;
-            }
-            task(i);
-        }));
-        if outcome.is_err() {
-            r.panicked.store(true, Ordering::Relaxed);
-        }
-        r.remaining.fetch_sub(1, Ordering::Release);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+
+    /// Both ends of the spin spectrum: 0 parks immediately, 5000 keeps
+    /// every wait inside the spin window.
+    const SPINS: [u64; 2] = [0, 5_000];
+
+    /// Blocks until all of `pool`'s workers are parked.
+    fn wait_until_parked(pool: &WorkerPool) {
+        while pool.shared.sleepers.load(Ordering::SeqCst) < pool.handles.len() {
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn executes_every_task_exactly_once() {
-        let pool = WorkerPool::new(4);
-        for tasks in [0usize, 1, 2, 3, 4, 7, 64] {
-            let hits: Vec<AtomicUsize> = (0..tasks).map(|_| AtomicUsize::new(0)).collect();
-            pool.run(tasks, &|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for (i, hit) in hits.iter().enumerate() {
-                assert_eq!(hit.load(Ordering::Relaxed), 1, "task {i} ({tasks} tasks)");
+        for spin_us in SPINS {
+            let pool = WorkerPool::with_spin(4, spin_us);
+            for tasks in [0usize, 1, 2, 3, 4, 7, 64] {
+                let hits: Vec<AtomicUsize> = (0..tasks).map(|_| AtomicUsize::new(0)).collect();
+                pool.run(tasks, &|i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+                for (i, hit) in hits.iter().enumerate() {
+                    assert_eq!(
+                        hit.load(Ordering::Relaxed),
+                        1,
+                        "task {i} ({tasks} tasks, spin {spin_us}µs)"
+                    );
+                }
             }
         }
     }
@@ -974,181 +596,18 @@ mod tests {
     }
 
     #[test]
-    fn small_jobs_on_a_big_pool_complete_repeatedly() {
-        // Exercises the join budget: 2-task jobs on a 16-executor pool leave
-        // 14 workers parked per job, across many back-to-back epochs (so
-        // workers alternate between joining and sitting epochs out).
-        let pool = WorkerPool::new(16);
+    fn runs_respect_the_participation_prefix() {
+        // 2–4-task dispatches on an 8-executor pool: 1–3 of the 7 workers
+        // participate per phase; the rest must sit phases out without
+        // corrupting anything, across many phases.
+        let pool = WorkerPool::new(8);
         let total = AtomicU64::new(0);
-        for round in 0..300u64 {
-            let tasks = 2 + (round % 3) as usize; // 2, 3, 4 tasks
+        for round in 0..200u64 {
+            let tasks = 2 + (round % 3) as usize;
             pool.run(tasks, &|i| {
                 total.fetch_add(i as u64 + 1, Ordering::Relaxed);
             });
         }
-        let expected: u64 = (0..300u64)
-            .map(|r| {
-                let t = 2 + r % 3;
-                t * (t + 1) / 2
-            })
-            .sum();
-        assert_eq!(total.load(Ordering::Relaxed), expected);
-    }
-
-    #[test]
-    fn worker_panic_is_forwarded_and_pool_survives() {
-        let pool = WorkerPool::new(4);
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(8, &|i| {
-                if i == 5 {
-                    panic!("task 5 exploded");
-                }
-            });
-        }));
-        assert!(attempt.is_err(), "panic was swallowed");
-        // The pool still works after a panicked job.
-        let ok = AtomicUsize::new(0);
-        pool.run(8, &|_| {
-            ok.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(ok.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn drop_joins_workers_without_hanging() {
-        for _ in 0..20 {
-            let pool = WorkerPool::new(4);
-            pool.run(4, &|_| {});
-            drop(pool); // must not hang or leak
-        }
-    }
-
-    #[test]
-    fn tasks_can_borrow_the_callers_stack() {
-        let pool = WorkerPool::new(4);
-        let data: Vec<u64> = (0..1000).collect();
-        let partial: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
-        pool.run(4, &|i| {
-            let chunk = &data[i * 250..(i + 1) * 250];
-            partial[i].store(chunk.iter().sum(), Ordering::Relaxed);
-        });
-        let total: u64 = partial.iter().map(|p| p.load(Ordering::Relaxed)).sum();
-        assert_eq!(total, 1000 * 999 / 2);
-    }
-
-    // --- resident sessions -------------------------------------------------
-
-    /// Phase dispatches inside a program execute every task exactly once —
-    /// at both ends of the spin spectrum (0 = park immediately, large =
-    /// never park within a phase gap).
-    #[test]
-    fn program_phases_execute_every_task_exactly_once() {
-        for spin_us in [0u64, 5_000] {
-            let pool = WorkerPool::with_spin(4, spin_us);
-            let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_program(|| {
-                for _ in 0..16 {
-                    pool.run(4, &|i| {
-                        for h in &hits[i * 16..(i + 1) * 16] {
-                            h.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-            });
-            for (i, hit) in hits.iter().enumerate() {
-                assert_eq!(
-                    hit.load(Ordering::Relaxed),
-                    16,
-                    "slot {i} (spin {spin_us}µs)"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn program_matches_looped_dispatches() {
-        // The same job sequence, fused and looped, must produce identical
-        // results (the task effects are pure functions of the index).
-        let run_once = |fused: bool| -> Vec<u64> {
-            let pool = WorkerPool::with_spin(4, 50);
-            let cells: Vec<AtomicU64> = (0..128).map(|_| AtomicU64::new(0)).collect();
-            let body = |round: u64| {
-                pool.run(8, &|i| {
-                    for c in &cells[i * 16..(i + 1) * 16] {
-                        let old = c.load(Ordering::Relaxed);
-                        c.store(old.rotate_left(5) ^ (round + i as u64), Ordering::Relaxed);
-                    }
-                });
-            };
-            if fused {
-                pool.run_program(|| {
-                    for round in 0..50 {
-                        body(round);
-                    }
-                });
-            } else {
-                for round in 0..50 {
-                    body(round);
-                }
-            }
-            cells.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-        };
-        assert_eq!(run_once(true), run_once(false));
-    }
-
-    #[test]
-    fn program_counts_one_dispatch_for_many_phases() {
-        let pool = WorkerPool::new(4);
-        let before = pool.stats();
-        pool.run_program(|| {
-            for _ in 0..32 {
-                pool.run(4, &|_| {});
-            }
-        });
-        let delta = pool.stats().dispatches - before.dispatches;
-        assert_eq!(delta, 1, "a fused program is one dispatch, not 32");
-        // The same schedule looped pays one dispatch per round.
-        let before = pool.stats();
-        for _ in 0..32 {
-            pool.run(4, &|_| {});
-        }
-        assert_eq!(pool.stats().dispatches - before.dispatches, 32);
-    }
-
-    #[test]
-    fn program_is_reentrant_on_the_owner_thread() {
-        let pool = WorkerPool::new(3);
-        let sum = AtomicU64::new(0);
-        pool.run_program(|| {
-            pool.run_program(|| {
-                pool.run(6, &|i| {
-                    sum.fetch_add(i as u64 + 1, Ordering::Relaxed);
-                });
-            });
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 21);
-        // The session ended: a fresh plain run still works.
-        pool.run(6, &|i| {
-            sum.fetch_add(i as u64 + 1, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 42);
-    }
-
-    #[test]
-    fn program_phases_respect_the_participation_prefix() {
-        // 2-task phases on an 8-executor pool: 7 workers are resident but
-        // only 1 participates per phase; the rest must sit phases out
-        // without corrupting anything, across many phases.
-        let pool = WorkerPool::new(8);
-        let total = AtomicU64::new(0);
-        pool.run_program(|| {
-            for round in 0..200u64 {
-                let tasks = 2 + (round % 3) as usize;
-                pool.run(tasks, &|i| {
-                    total.fetch_add(i as u64 + 1, Ordering::Relaxed);
-                });
-            }
-        });
         let expected: u64 = (0..200u64)
             .map(|r| {
                 let t = 2 + r % 3;
@@ -1168,103 +627,61 @@ mod tests {
     /// immediately, making them lag as far as possible.
     #[test]
     fn lagging_nonparticipants_rejoin_exactly_once() {
-        for spin_us in [0u64, 5_000] {
+        for spin_us in SPINS {
             let pool = WorkerPool::with_spin(8, spin_us);
             let total = AtomicU64::new(0);
-            pool.run_program(|| {
-                for round in 0..400u64 {
-                    // 2 tasks (1 participant of 7 workers), then 9 tasks
-                    // (all 7) — every worker 1..7 re-joins right after
-                    // sitting a phase out.
-                    let tasks = if round % 2 == 0 { 2 } else { 9 };
-                    pool.run(tasks, &|i| {
-                        total.fetch_add(i as u64 + 1, Ordering::Relaxed);
-                    });
-                }
-            });
+            for round in 0..400u64 {
+                // 2 tasks (1 participant of 7 workers), then 9 tasks (all
+                // 7) — every worker 1..7 re-joins right after sitting a
+                // phase out.
+                let tasks = if round % 2 == 0 { 2 } else { 9 };
+                pool.run(tasks, &|i| {
+                    total.fetch_add(i as u64 + 1, Ordering::Relaxed);
+                });
+            }
             let expected: u64 = (0..400u64).map(|r| if r % 2 == 0 { 3 } else { 45 }).sum();
             assert_eq!(total.load(Ordering::Relaxed), expected, "spin {spin_us}µs");
         }
     }
 
     #[test]
-    fn single_task_and_empty_dispatches_inside_a_program_run_inline() {
-        let pool = WorkerPool::new(4);
-        let caller = std::thread::current().id();
-        pool.run_program(|| {
-            pool.run(0, &|_| panic!("no tasks, no calls"));
-            pool.run(1, &|_| assert_eq!(std::thread::current().id(), caller));
-        });
-    }
-
-    #[test]
-    fn worker_panic_in_a_phase_is_forwarded_and_session_survives() {
-        let pool = WorkerPool::new(4);
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_program(|| {
+    fn worker_panic_is_forwarded_and_pool_survives() {
+        for spin_us in SPINS {
+            let pool = WorkerPool::with_spin(4, spin_us);
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
                 pool.run(8, &|i| {
                     if i == 5 {
-                        panic!("phase task 5 exploded");
+                        panic!("task 5 exploded");
                     }
                 });
-            });
-        }));
-        assert!(attempt.is_err(), "phase panic was swallowed");
-        // The session unwound cleanly: the pool still works, fused or not.
-        let ok = AtomicUsize::new(0);
-        pool.run_program(|| {
+            }));
+            assert!(attempt.is_err(), "panic was swallowed (spin {spin_us}µs)");
+            // The pool still works after a panicked phase.
+            let ok = AtomicUsize::new(0);
             pool.run(8, &|_| {
                 ok.fetch_add(1, Ordering::Relaxed);
             });
-        });
-        pool.run(8, &|_| {
-            ok.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(ok.load(Ordering::Relaxed), 16);
+            assert_eq!(ok.load(Ordering::Relaxed), 8, "spin {spin_us}µs");
+        }
     }
 
     #[test]
-    fn empty_program_is_a_clean_session() {
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.run_program(|| 7), 7);
-        let hits = AtomicUsize::new(0);
-        pool.run(4, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn program_on_a_single_thread_pool_runs_inline() {
-        let pool = WorkerPool::new(1);
-        let before = pool.stats();
-        let out = pool.run_program(|| {
-            let caller = std::thread::current().id();
-            pool.run(4, &|_| assert_eq!(std::thread::current().id(), caller));
-            11
-        });
-        assert_eq!(out, 11);
-        assert_eq!(pool.stats(), before, "inline work must not count");
-    }
-
-    #[test]
-    fn programs_from_two_threads_serialise_on_the_gate() {
+    fn runs_from_two_threads_serialise_on_the_gate() {
         let pool = std::sync::Arc::new(WorkerPool::new(4));
         let total = std::sync::Arc::new(AtomicU64::new(0));
-        let mut joins = Vec::new();
-        for _ in 0..2 {
-            let pool = std::sync::Arc::clone(&pool);
-            let total = std::sync::Arc::clone(&total);
-            joins.push(std::thread::spawn(move || {
-                pool.run_program(|| {
+        let joins: Vec<_> = (0..2)
+            .map(|_| {
+                let pool = std::sync::Arc::clone(&pool);
+                let total = std::sync::Arc::clone(&total);
+                std::thread::spawn(move || {
                     for _ in 0..50 {
                         pool.run(4, &|i| {
                             total.fetch_add(i as u64 + 1, Ordering::Relaxed);
                         });
                     }
-                });
-            }));
-        }
+                })
+            })
+            .collect();
         for j in joins {
             j.join().unwrap();
         }
@@ -1272,26 +689,78 @@ mod tests {
     }
 
     #[test]
-    fn drop_joins_workers_after_sessions() {
-        for spin_us in [0u64, 100] {
-            let pool = WorkerPool::with_spin(4, spin_us);
-            pool.run_program(|| {
-                pool.run(4, &|_| {});
-            });
+    fn drop_joins_spinning_and_parked_workers() {
+        for _ in 0..20 {
+            // Right after a dispatch, with the workers still spinning.
+            let pool = WorkerPool::with_spin(4, 5_000);
+            pool.run(4, &|_| {});
             drop(pool); // must not hang or leak
+        }
+        for _ in 0..5 {
+            // After every worker parked.
+            let pool = WorkerPool::with_spin(4, 0);
+            pool.run(4, &|_| {});
+            wait_until_parked(&pool);
+            drop(pool);
         }
     }
 
     #[test]
-    fn stats_count_wakeups_per_dispatch() {
+    fn tasks_can_borrow_the_callers_stack() {
+        let pool = WorkerPool::new(4);
+        let data: Vec<u64> = (0..1000).collect();
+        let partial: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
+        pool.run(4, &|i| {
+            let chunk = &data[i * 250..(i + 1) * 250];
+            partial[i].store(chunk.iter().sum(), Ordering::Relaxed);
+        });
+        let total: u64 = partial.iter().map(|p| p.load(Ordering::Relaxed)).sum();
+        assert_eq!(total, 1000 * 999 / 2);
+    }
+
+    #[test]
+    fn run_program_is_a_plain_call() {
         let pool = WorkerPool::new(4);
         let before = pool.stats();
-        pool.run(4, &|_| {});
-        let delta_w = pool.stats().wakeups - before.wakeups;
-        assert_eq!(delta_w, 3, "a 4-task job on 4 executors wakes 3 workers");
-        // Inline runs cost nothing.
-        let before = pool.stats();
-        pool.run(1, &|_| {});
-        assert_eq!(pool.stats(), before);
+        let out = pool.run_program(|| {
+            for _ in 0..3 {
+                pool.run(4, &|_| {});
+            }
+            11
+        });
+        assert_eq!(out, 11);
+        assert_eq!(pool.stats().dispatches - before.dispatches, 3);
+    }
+
+    #[test]
+    fn every_non_inline_run_counts_one_dispatch() {
+        for threads in [1, 4] {
+            let pool = WorkerPool::new(threads);
+            let before = pool.stats();
+            for _ in 0..32 {
+                pool.run(4, &|_| {});
+            }
+            let expected = if threads == 1 { 0 } else { 32 };
+            assert_eq!(pool.stats().dispatches - before.dispatches, expected);
+            // Inline runs (no tasks, or one) count nothing.
+            let before = pool.stats();
+            pool.run(0, &|_| {});
+            pool.run(1, &|_| {});
+            assert_eq!(pool.stats(), before, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_dispatch_counts_each_woken_worker_once() {
+        // On a 0 µs pool every idle worker parks, so once all three are
+        // parked, a dispatch wakes each of them exactly once.
+        let pool = WorkerPool::with_spin(4, 0);
+        for round in 0..3 {
+            wait_until_parked(&pool);
+            let before = pool.stats();
+            pool.run(4, &|_| {});
+            let delta = pool.stats().wakeups - before.wakeups;
+            assert_eq!(delta, 3, "dispatch {round}");
+        }
     }
 }

@@ -235,20 +235,11 @@ impl<P: NodeProtocol + Clone + Send + Sync> ProtocolRunner<P> {
     }
 
     fn run_with(mut self, max_rounds: u64, step: impl Fn(&mut Self)) -> ProtocolOutcome<P::Output> {
-        // The whole convergence loop is one fused round program: the pool is
-        // woken once and each round dispatches as a resident phase, with the
-        // convergence scan (`all_finished`) running on the session thread
-        // between rounds. Bit-identical to stepping unfused — the schedule
-        // here is data-dependent (it ends at convergence), which is why this
-        // records nothing and fuses the live loop instead.
-        let pool = std::sync::Arc::clone(self.engine.pool());
         let mut converged = self.all_finished();
-        pool.run_program(|| {
-            while !converged && self.engine.round() < max_rounds {
-                step(&mut self);
-                converged = self.all_finished();
-            }
-        });
+        while !converged && self.engine.round() < max_rounds {
+            step(&mut self);
+            converged = self.all_finished();
+        }
         let rounds = self.engine.round();
         let metrics = self.engine.metrics();
         let outputs = self

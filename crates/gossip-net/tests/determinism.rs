@@ -358,87 +358,6 @@ fn sparse_push_at_20k_is_thread_count_invariant() {
     }
 }
 
-#[test]
-fn sparse_push_program_at_20k_is_thread_count_invariant() {
-    // The resident-session counterpart of the entry above: the same sparse
-    // push / dense pull interleaving recorded as a RoundProgram and replayed
-    // as one fused dispatch. The phase barrier must preserve thread-count
-    // invariance exactly as the full hand-off does — and the fused run must
-    // equal the looped one bit for bit at every matrix point.
-    let looped = |threads: usize| {
-        let n = 20_000;
-        let active = ActiveSet::from_fn(n, |v| v % 11 == 0);
-        let mut e = engine(n, 47, FailureModel::uniform(0.15).unwrap());
-        e.set_threads(threads);
-        for _ in 0..3 {
-            e.push_round_on(
-                &active,
-                |v, &s| if v % 5 == 0 { None } else { Some(s) },
-                |_, st, msg| *st = fold_hash(*st, msg),
-                |_, st, delivered| {
-                    if delivered {
-                        *st = st.rotate_left(1);
-                    }
-                },
-            );
-            e.pull_round(
-                |_, &s| s,
-                |_, st, p| {
-                    if let Some(p) = p {
-                        *st = fold_hash(*st, p);
-                    }
-                },
-            );
-        }
-        let metrics = e.metrics();
-        (e.into_states(), metrics)
-    };
-    let fused = |threads: usize| {
-        let n = 20_000;
-        let active = ActiveSet::from_fn(n, |v| v % 11 == 0);
-        let mut e = engine(n, 47, FailureModel::uniform(0.15).unwrap());
-        e.set_threads(threads);
-        let mut program: gossip_net::RoundProgram<'_, u64> = gossip_net::RoundProgram::new();
-        for _ in 0..3 {
-            program.push_on(
-                active.clone(),
-                |v, &s| if v % 5 == 0 { None } else { Some(s) },
-                |_, st, msg| *st = fold_hash(*st, msg),
-                |_, st, delivered| {
-                    if delivered {
-                        *st = st.rotate_left(1);
-                    }
-                },
-            );
-            program.pull(
-                |_, &s| s,
-                |_, st, p| {
-                    if let Some(p) = p {
-                        *st = fold_hash(*st, p);
-                    }
-                },
-            );
-        }
-        e.run_program(&mut program);
-        let metrics = e.metrics();
-        (e.into_states(), metrics)
-    };
-    let baseline = looped(1);
-    assert!(baseline.1.failed_operations > 0, "failures did not fire");
-    for threads in THREAD_MATRIX {
-        assert_eq!(
-            looped(threads),
-            baseline,
-            "{threads}-thread sparse push loop diverged"
-        );
-        assert_eq!(
-            fused(threads),
-            baseline,
-            "{threads}-thread sparse push program diverged from the loop"
-        );
-    }
-}
-
 /// The full fault plan: churn with rejoin, message loss, stragglers, and the
 /// Section 5 failure model, all active at once.
 fn chaos_plan() -> FaultPlan {

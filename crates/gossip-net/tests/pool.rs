@@ -1,7 +1,8 @@
 //! Lifecycle and edge cases of the persistent worker pool as engines use it:
 //! shutdown on drop, reuse across engines (shared and sequential), thread
 //! counts exceeding the node count, degenerate engines, and the pool's
-//! indifference contract (pool size and sharing never change results).
+//! indifference contract (pool size and sharing never change results, and
+//! the scheduling counters stay out of `Metrics` equality).
 
 use gossip_net::{Engine, EngineConfig, GossipError, WorkerPool};
 use std::sync::Arc;
@@ -182,4 +183,26 @@ fn set_threads_grows_the_pool_and_shrinking_keeps_it() {
         max_spread(&mut r, 4);
         r.into_states()
     });
+}
+
+#[test]
+fn scheduling_counters_do_not_affect_metrics_equality() {
+    // The determinism suites compare `Metrics` across runs whose scheduling
+    // differs (1 vs 8 threads, private vs shared pools); the == contract
+    // must ignore the dispatch/wakeup counters or every such comparison
+    // would be flaky.
+    let run = |threads: usize| {
+        let mut e = Engine::from_states((0..256u64).collect(), EngineConfig::with_seed(77));
+        e.set_threads(threads);
+        max_spread(&mut e, 4);
+        e.metrics()
+    };
+    let one = run(1);
+    let two = run(2);
+    assert_eq!(one.pool_dispatches, 0, "a 1-thread engine runs inline");
+    assert!(
+        two.pool_dispatches >= 4,
+        "one dispatch per pull round at least"
+    );
+    assert_eq!(one, two);
 }

@@ -492,13 +492,7 @@ fn distribute_tokens<V: NodeValue>(
     let mut senders = ActiveSet::from_members(n, std::iter::empty())?;
     let mut sender_ids: Vec<usize> = Vec::new();
     let mut executed = 0u64;
-    // The whole settle loop is one fused round program (`Engine::fused`):
-    // the pool wakes once, the sparse local/push rounds dispatch as resident
-    // phases, and the sequential inter-round work — the settled scan and the
-    // sender-set rebuild — runs on the session thread between phases. The
-    // schedule is data-dependent (it ends at settlement), so the live loop
-    // fuses instead of being recorded; results are bit-identical either way.
-    let budget_exceeded = engine.fused(|engine| loop {
+    let budget_exceeded = loop {
         let settled = holders.iter().all(|v| {
             let st = &engine.states()[v];
             st.tokens.len() <= 1 && st.tokens.iter().all(|&(_, w)| w == 1)
@@ -550,7 +544,7 @@ fn distribute_tokens<V: NodeValue>(
         );
         holders.union_sorted(&out.receivers);
         executed += 1;
-    });
+    };
     if budget_exceeded {
         return Err(GossipError::RoundBudgetExceeded {
             budget: max_rounds,

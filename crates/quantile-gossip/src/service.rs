@@ -642,8 +642,8 @@ impl<V: NodeValue> QuantileService<V> {
         engine_config.ensure_pool_for(n);
         if engine_config.pool.is_none() {
             // Below the engine's parallel threshold `ensure_pool_for` is a
-            // no-op, but the service still fuses each epoch into one
-            // resident pool session — a 1-thread pool runs every dispatch
+            // no-op, but both phase engines and the incremental replay
+            // still share one pool — a 1-thread pool runs every dispatch
             // inline, so results and small-n wall-clock are unaffected.
             engine_config.pool = Some(Arc::new(WorkerPool::new(1)));
         }
@@ -671,7 +671,7 @@ impl<V: NodeValue> QuantileService<V> {
     /// 1). Answers never depend on this — only wall-clock does — which the
     /// conformance suite pins by running identical services at 1, 2 and 8
     /// threads. Grows the shared pool if the override exceeds it, so the
-    /// phase engines keep fusing into one pool session.
+    /// phase engines keep sharing one pool.
     pub fn set_threads(&mut self, threads: usize) -> &mut Self {
         let t = threads.max(1);
         self.threads = Some(t);
@@ -815,50 +815,25 @@ impl<V: NodeValue> QuantileService<V> {
     /// Runs every lane from scratch through one shared round sequence and
     /// caches the trajectory for later incremental epochs.
     ///
-    /// The whole epoch — Phase I pulls, Phase II 3-TOURNAMENT windows and
-    /// the vote derivation — executes as **one resident pool session**
-    /// ([`WorkerPool::run_program`]): the ~`2·t1 + 3·t2 + K` rounds cost a
-    /// single pool dispatch instead of one hand-off per round primitive.
-    /// Fusion is pure scheduling; `tests/service.rs` pins the answers
-    /// bit-identical to the unfused loop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors (none under a well-formed configuration).
-    pub fn recompute_full(&mut self) -> Result<ServiceOutcome<V>> {
-        let pool = Arc::clone(
-            self.engine_config
-                .pool
-                .as_ref()
-                .expect("the service constructor always installs a pool"),
-        );
-        pool.run_program(|| self.full_epoch_body())
-    }
-
-    /// [`recompute_full`](Self::recompute_full) without the resident pool
-    /// session — every round primitive dispatches on its own. Exists so the
-    /// conformance suite can pin fused ≡ looped; results are identical by
-    /// construction, only scheduling differs.
-    #[doc(hidden)]
-    pub fn recompute_full_unfused(&mut self) -> Result<ServiceOutcome<V>> {
-        self.full_epoch_body()
-    }
-
-    /// The full-epoch pipeline: flat lane-major sample collection
+    /// The pipeline: flat lane-major sample collection
     /// ([`Engine::collect_lanes`]), pool-parallel lane-step application, and
     /// end-of-epoch vote derivation from the recorded trajectory.
     ///
     /// Steady-state epochs are **allocation-free per round**: every round
     /// buffer (lane matrices, states, coins, active set, snapshots, source
-    /// rows, outputs) is reused from [`EpochScratch`] and the previous
-    /// trajectory; a debug fingerprint asserts no buffer moved.
-    fn full_epoch_body(&mut self) -> Result<ServiceOutcome<V>> {
+    /// rows, outputs) is reused from the service's epoch scratch and the
+    /// previous trajectory; a debug fingerprint asserts no buffer moved.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine errors (none under a well-formed configuration).
+    pub fn recompute_full(&mut self) -> Result<ServiceOutcome<V>> {
         let (n, q, k) = (self.n, self.queries.len(), self.config.final_vote.samples);
         let (t1max, t2max) = (self.t1max(), self.t2max());
         let (mut e1, mut e2) = self.engines();
         if let Some(t) = self.threads {
             // `set_threads` pre-sized the shared pool, so these never swap
-            // pools — the epoch stays fused on one worker set.
+            // pools — the epoch stays on one worker set.
             e1.set_threads(t);
             e2.set_threads(t);
         }
@@ -1146,20 +1121,9 @@ impl<V: NodeValue> QuantileService<V> {
     /// Steady-state incremental epochs reuse every replay buffer from
     /// [`EpochScratch`]; a debug fingerprint asserts no buffer moved.
     ///
-    /// Like [`recompute_full`](Self::recompute_full), the whole replay runs
-    /// as one resident pool session: the per-round dirty frontier is carved
-    /// into disjoint node chunks and recomputed on the pool.
+    /// The per-round dirty frontier is carved into disjoint node chunks and
+    /// recomputed on the shared pool.
     fn recompute_incremental(&mut self) -> Result<ServiceOutcome<V>> {
-        let pool = Arc::clone(
-            self.engine_config
-                .pool
-                .as_ref()
-                .expect("the service constructor always installs a pool"),
-        );
-        pool.run_program(|| self.incremental_epoch_body())
-    }
-
-    fn incremental_epoch_body(&mut self) -> Result<ServiceOutcome<V>> {
         let mut cache = self
             .cache
             .take()

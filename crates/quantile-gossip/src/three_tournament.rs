@@ -22,7 +22,6 @@ use crate::schedule::ThreeTournamentSchedule;
 use crate::vote::VoteKernel;
 use gossip_net::{
     par, ActiveSet, Engine, EngineConfig, GossipError, Metrics, NodeRng, NodeValue, Result,
-    RoundProgram, StepKind,
 };
 
 /// Configuration of the final `K`-sample vote of Algorithm 2 (line 8).
@@ -85,12 +84,7 @@ pub fn run<V: NodeValue>(
     let mut engine = Engine::from_states(values.to_vec(), engine_config);
     let seed = engine.seed();
 
-    // The tournament iterations compile into one RoundProgram, replayed as a
-    // single fused pool dispatch (the workers wake once for all `3t` rounds).
-    // Each recorded step makes exactly the engine calls the hand-written
-    // loop made, so the trajectory is bit-identical to unfused execution.
     let iterations = schedule.len();
-    let mut program: RoundProgram<'_, V> = RoundProgram::new();
     for iteration in 0..iterations {
         let delta = if iteration + 1 == iterations {
             schedule.final_delta
@@ -100,30 +94,27 @@ pub fn run<V: NodeValue>(
         if delta >= 1.0 {
             // Flat column-major sample matrix: one allocation for all three
             // sampling rounds, each round filling a contiguous column.
-            program.collect_local(
-                3,
-                |_, &v| v,
-                |v, state, _rng, samples| {
-                    let (s0, s1, s2) = (
-                        samples.sample(v, 0),
-                        samples.sample(v, 1),
-                        samples.sample(v, 2),
-                    );
-                    *state = match (s0, s1, s2) {
-                        (Some(a), Some(b), Some(c)) => median3(a, b, c),
-                        // Failure fallbacks: degrade gracefully to the information
-                        // we actually received this iteration (samples keep their
-                        // round order, as in the nested layout).
-                        (Some(a), Some(b), None)
-                        | (Some(a), None, Some(b))
-                        | (None, Some(a), Some(b)) => median3(a, b, *state),
-                        (Some(a), None, None) | (None, Some(a), None) | (None, None, Some(a)) => {
-                            median3(a, *state, *state)
-                        }
-                        (None, None, None) => *state,
-                    };
-                },
-            );
+            let samples = engine.collect_samples_flat(3, |_, &v| v);
+            engine.local_step(|v, state, _rng| {
+                let (s0, s1, s2) = (
+                    samples.sample(v, 0),
+                    samples.sample(v, 1),
+                    samples.sample(v, 2),
+                );
+                *state = match (s0, s1, s2) {
+                    (Some(a), Some(b), Some(c)) => median3(a, b, c),
+                    // Failure fallbacks: degrade gracefully to the information
+                    // we actually received this iteration (samples keep their
+                    // round order, as in the nested layout).
+                    (Some(a), Some(b), None)
+                    | (Some(a), None, Some(b))
+                    | (None, Some(a), Some(b)) => median3(a, b, *state),
+                    (Some(a), None, None) | (None, Some(a), None) | (None, None, Some(a)) => {
+                        median3(a, *state, *state)
+                    }
+                    (None, None, None) => *state,
+                };
+            });
         } else {
             // δ-truncated final iteration (ThreeTournamentSchedule::final_delta):
             // only a δ-fraction of nodes runs the three-sample tournament;
@@ -131,39 +122,34 @@ pub fn run<V: NodeValue>(
             // third sampling rounds therefore run on the participating
             // subset only — O(δn) engine work — with the participation coin
             // drawn up front on the dedicated STREAM_PARTICIPATION stream so
-            // the trajectory is a pure function of the seed. Data-dependent
-            // structure, so it records as a custom step.
-            program.step(StepKind::Custom, move |engine| {
-                let prefix =
-                    NodeRng::key_prefix(seed, iteration as u64, NodeRng::STREAM_PARTICIPATION);
-                let active = ActiveSet::from_fn(n, |v| prefix.node(v as u64).next_f64() < delta);
-                let first = engine.collect_samples(1, |_, &v| v);
-                let rest = engine.collect_samples_on(&active, 2, |_, &v| v);
-                engine.local_step(|v, state, _rng| {
-                    let s0 = first[v].first().copied();
-                    let extra = active.rank(v).map(|r| rest[r].as_slice());
-                    *state = match (s0, extra) {
-                        (Some(a), Some(&[b, c])) => median3(a, b, c),
-                        // δ-branch: replace the value with the single sample.
-                        (Some(a), None) => a,
-                        // Failure fallbacks, mirroring the dense arm.
-                        (Some(a), Some(&[b])) => median3(a, b, *state),
-                        (Some(a), Some(_)) => median3(a, *state, *state),
-                        (None, Some(&[b, c])) => median3(b, c, *state),
-                        (None, Some(&[b])) => median3(b, *state, *state),
-                        _ => *state,
-                    };
-                });
+            // the trajectory is a pure function of the seed.
+            let prefix = NodeRng::key_prefix(seed, iteration as u64, NodeRng::STREAM_PARTICIPATION);
+            let active = ActiveSet::from_fn(n, |v| prefix.node(v as u64).next_f64() < delta);
+            let first = engine.collect_samples(1, |_, &v| v);
+            let rest = engine.collect_samples_on(&active, 2, |_, &v| v);
+            engine.local_step(|v, state, _rng| {
+                let s0 = first[v].first().copied();
+                let extra = active.rank(v).map(|r| rest[r].as_slice());
+                *state = match (s0, extra) {
+                    (Some(a), Some(&[b, c])) => median3(a, b, c),
+                    // δ-branch: replace the value with the single sample.
+                    (Some(a), None) => a,
+                    // Failure fallbacks, mirroring the dense arm.
+                    (Some(a), Some(&[b])) => median3(a, b, *state),
+                    (Some(a), Some(_)) => median3(a, *state, *state),
+                    (None, Some(&[b, c])) => median3(b, c, *state),
+                    (None, Some(&[b])) => median3(b, *state, *state),
+                    _ => *state,
+                };
             });
         }
     }
-    engine.run_program(&mut program);
     let converged_values = engine.states().to_vec();
 
-    // Line 8: sample K values and output their median. The K pull rounds
-    // fuse into one dispatch of their own; the median is the shared vote
-    // kernel on one-lane rows, mapped over the nodes on the engine's pool.
-    let final_samples = engine.fused(|e| e.collect_samples_flat(vote.samples, |_, &v| v));
+    // Line 8: sample K values and output their median. The median is the
+    // shared vote kernel on one-lane rows, mapped over the nodes on the
+    // engine's pool.
+    let final_samples = engine.collect_samples_flat(vote.samples, |_, &v| v);
     let kernel = VoteKernel::new(vote.samples);
     let mut outputs = converged_values.clone();
     par::for_chunks(

@@ -25,7 +25,6 @@
 use crate::schedule::{ShrinkSide, TwoTournamentSchedule};
 use gossip_net::{
     ActiveSet, Engine, EngineConfig, GossipError, Metrics, NodeRng, NodeValue, Result,
-    RoundProgram, StepKind,
 };
 
 /// Result of running Phase I.
@@ -64,34 +63,24 @@ pub fn run<V: NodeValue>(
     let side = schedule.side;
     let seed = engine.seed();
 
-    // The whole schedule compiles into one RoundProgram and replays as a
-    // single fused pool dispatch: the workers are woken once and every
-    // sampling round of every iteration runs as a resident phase. Each step
-    // records exactly the engine calls the hand-written loop made, so the
-    // trajectory is bit-identical to unfused execution (pinned by the
-    // algorithm-level goldens and the program test suite).
-    let mut program: RoundProgram<'_, V> = RoundProgram::new();
     for (iteration, step) in schedule.steps.iter().enumerate() {
         if step.delta >= 1.0 {
             // Full iteration: two sampling rounds against the iteration-start
             // snapshot, every node runs the tournament. The flat column-major
             // sample matrix keeps the whole pass at two allocations total
             // and makes the per-round sample columns contiguous.
-            program.collect_local(
-                2,
-                |_, &v| v,
-                move |v, state, _rng, samples| {
-                    *state = match (samples.sample(v, 0), samples.sample(v, 1)) {
-                        // Normal case: the two-sample tournament.
-                        (Some(a), Some(b)) => extremum(side, a, b),
-                        // Failure fallbacks (only reachable under a failure
-                        // model): with one sample run the degenerate tournament
-                        // against it, with none keep the current value.
-                        (Some(a), None) | (None, Some(a)) => extremum(side, a, *state),
-                        (None, None) => *state,
-                    };
-                },
-            );
+            let samples = engine.collect_samples_flat(2, |_, &v| v);
+            engine.local_step(|v, state, _rng| {
+                *state = match (samples.sample(v, 0), samples.sample(v, 1)) {
+                    // Normal case: the two-sample tournament.
+                    (Some(a), Some(b)) => extremum(side, a, b),
+                    // Failure fallbacks (only reachable under a failure
+                    // model): with one sample run the degenerate tournament
+                    // against it, with none keep the current value.
+                    (Some(a), None) | (None, Some(a)) => extremum(side, a, *state),
+                    (None, None) => *state,
+                };
+            });
         } else {
             // Probabilistic final iteration: only a δ-fraction of nodes runs
             // the tournament, and only *they* need the second sample — so
@@ -101,39 +90,31 @@ pub fn run<V: NodeValue>(
             // `STREAM_PARTICIPATION` stream, keyed by the iteration index,
             // *before* any round of the iteration runs — deterministic in
             // the seed at any thread count, and disjoint from the rounds'
-            // randomness. The coin flips and the sample-feeding local update
-            // are data-dependent structure, so this records as a custom step
-            // (its sequential parts run on the session thread).
-            let delta = step.delta;
-            program.step(StepKind::Custom, move |engine| {
-                let prefix =
-                    NodeRng::key_prefix(seed, iteration as u64, NodeRng::STREAM_PARTICIPATION);
-                let active = ActiveSet::from_fn(n, |v| prefix.node(v as u64).next_f64() < delta);
-                // Everyone resamples once (both branches of Algorithm 1
-                // replace the value with fresh samples)…
-                let first = engine.collect_samples(1, |_, &v| v);
-                // …but the second sample is collected by the participants only.
-                let second = engine.collect_samples_on(&active, 1, |_, &v| v);
-                engine.local_step(|v, state, _rng| {
-                    let s0 = first[v].first().copied();
-                    let s1 = active.rank(v).and_then(|r| second[r].first().copied());
-                    *state = match (s0, s1) {
-                        // Participant with both samples: the tournament.
-                        (Some(a), Some(b)) => extremum(side, a, b),
-                        // δ-branch: copy the single fresh sample.
-                        (Some(a), None) if !active.contains(v) => a,
-                        // Failure fallbacks: degenerate tournament against
-                        // the current value, or keep it with no samples at
-                        // all.
-                        (Some(a), None) => extremum(side, a, *state),
-                        (None, Some(b)) => extremum(side, b, *state),
-                        (None, None) => *state,
-                    };
-                });
+            // randomness.
+            let prefix = NodeRng::key_prefix(seed, iteration as u64, NodeRng::STREAM_PARTICIPATION);
+            let active = ActiveSet::from_fn(n, |v| prefix.node(v as u64).next_f64() < step.delta);
+            // Everyone resamples once (both branches of Algorithm 1 replace
+            // the value with fresh samples)…
+            let first = engine.collect_samples(1, |_, &v| v);
+            // …but the second sample is collected by the participants only.
+            let second = engine.collect_samples_on(&active, 1, |_, &v| v);
+            engine.local_step(|v, state, _rng| {
+                let s0 = first[v].first().copied();
+                let s1 = active.rank(v).and_then(|r| second[r].first().copied());
+                *state = match (s0, s1) {
+                    // Participant with both samples: the tournament.
+                    (Some(a), Some(b)) => extremum(side, a, b),
+                    // δ-branch: copy the single fresh sample.
+                    (Some(a), None) if !active.contains(v) => a,
+                    // Failure fallbacks: degenerate tournament against the
+                    // current value, or keep it with no samples at all.
+                    (Some(a), None) => extremum(side, a, *state),
+                    (None, Some(b)) => extremum(side, b, *state),
+                    (None, None) => *state,
+                };
             });
         }
     }
-    engine.run_program(&mut program);
 
     let metrics = engine.metrics();
     Ok(TwoTournamentOutcome {
