@@ -67,7 +67,7 @@
 //! side-effect free.
 //!
 //! The thread count defaults to [`crate::par::num_threads`] for networks of
-//! at least [`Engine::PAR_MIN_NODES`] nodes and to 1 below that (dispatch
+//! at least [`Engine::PAR_MIN_NODES`] nodes and to 1 below that (fork/join
 //! overhead would dominate); [`Engine::set_threads`] overrides the choice
 //! either way.
 //!
@@ -122,7 +122,7 @@
 //! and whatever the caller's own state clones cost for non-`Copy` states.
 //!
 //! The per-slot `clone_from` into `next` is the price of running serve and
-//! apply together in one parallel pass (closures read other nodes only through
+//! apply fused in one parallel pass (closures read other nodes only through
 //! the immutable front buffer while writing their own back-buffer slot); for
 //! `Copy` states it is a parallel memcpy. States holding buffers (doubling,
 //! compactor) pay a real per-round copy — matching what their own `serve`
@@ -1144,7 +1144,7 @@ impl<S: Clone + Send + Sync> Engine<S> {
                     // 3. serve/apply with the gather prefetched `dist`
                     //    targets ahead, hiding the random-read latency that
                     //    dominates large-n rounds. When the whole state
-                    //    array stays in cache the gather never misses, so
+                    //    array is cache-resident the gather never misses, so
                     //    the batch/prefetch machinery is skipped (measured
                     //    ~10% overhead at n = 4k) — the touch order is the
                     //    same either way, so this gate cannot affect results.

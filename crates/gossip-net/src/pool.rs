@@ -183,8 +183,8 @@ struct Shared {
     /// Participants that have not yet finished the current phase; the
     /// caller waits for 0 before returning (the quiescence barrier).
     remaining: AtomicUsize,
-    /// Any participant's task panicked during the current phase; drained by
-    /// the caller after the phase quiesces.
+    /// Any participant's task panicked during the current phase; cleared
+    /// when a phase is published, drained by the caller after it quiesces.
     panicked: AtomicBool,
     /// Workers currently parked on `wake` (their spin budget ran out). The
     /// caller notifies only when this is non-zero.
@@ -340,6 +340,10 @@ impl WorkerPool {
         });
         shared.remaining.store(participants, Ordering::Relaxed);
         shared.cursor.store(0, Ordering::Relaxed);
+        // A phase whose caller task panicked skips the drain after the
+        // barrier, so a participant's flag from it must not leak into this
+        // phase.
+        shared.panicked.store(false, Ordering::Relaxed);
         // Publish phase and participant count as one packed word. Only the
         // gate holder writes `phase`, so load-then-store does not race.
         let next = phase_of(shared.phase.load(Ordering::Relaxed)) + 1;
@@ -617,6 +621,28 @@ mod tests {
         assert_eq!(total.load(Ordering::Relaxed), expected);
     }
 
+    #[test]
+    fn small_jobs_on_a_big_pool_complete_repeatedly() {
+        // 2–4-task jobs on a 16-executor pool leave 12–14 workers sitting
+        // each phase out, across many back-to-back phases (so workers
+        // alternate between joining and lagging behind the phase word).
+        let pool = WorkerPool::new(16);
+        let total = AtomicU64::new(0);
+        for round in 0..300u64 {
+            let tasks = 2 + (round % 3) as usize;
+            pool.run(tasks, &|i| {
+                total.fetch_add(i as u64 + 1, Ordering::Relaxed);
+            });
+        }
+        let expected: u64 = (0..300u64)
+            .map(|r| {
+                let t = 2 + r % 3;
+                t * (t + 1) / 2
+            })
+            .sum();
+        assert_eq!(total.load(Ordering::Relaxed), expected);
+    }
+
     /// Regression for the lagging-non-participant race: a worker that sat
     /// out phase N may only observe the phase word again after phase N+1 is
     /// published. Because phase and participant count travel in one packed
@@ -662,6 +688,27 @@ mod tests {
                 ok.fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(ok.load(Ordering::Relaxed), 8, "spin {spin_us}µs");
+        }
+    }
+
+    #[test]
+    fn a_phase_where_every_task_panics_leaves_the_pool_usable() {
+        // The caller's own task panics too, so `run` unwinds through the
+        // barrier without draining the workers' panic flag; the next clean
+        // phase must not report it.
+        for spin_us in SPINS {
+            let pool = WorkerPool::with_spin(4, spin_us);
+            for _ in 0..20 {
+                let attempt = catch_unwind(AssertUnwindSafe(|| {
+                    pool.run(64, &|_| panic!("every task explodes"));
+                }));
+                assert!(attempt.is_err(), "panic was swallowed (spin {spin_us}µs)");
+                let ok = AtomicUsize::new(0);
+                pool.run(8, &|_| {
+                    ok.fetch_add(1, Ordering::Relaxed);
+                });
+                assert_eq!(ok.load(Ordering::Relaxed), 8, "spin {spin_us}µs");
+            }
         }
     }
 

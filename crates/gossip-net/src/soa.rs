@@ -68,7 +68,7 @@ pub const DEFAULT_COPY_BLOCK: usize = 2048;
 /// a few ns per loop iteration), near enough not to thrash L1.
 pub const DEFAULT_PREFETCH_DIST: usize = 32;
 
-/// Gather arrays at or below this size are treated as staying in cache and
+/// Gather arrays at or below this size are treated as cache-resident and
 /// skip the target-batch + prefetch machinery entirely: every random read
 /// hits L1/L2 anyway, so the extra bookkeeping is pure overhead (measured
 /// ~10% on 32 KiB state arrays). 64 KiB sits between typical L1d (32–48
